@@ -61,7 +61,5 @@ from .resfit import (
     estimate_delay,
     fit_notch,
     model_s21,
-    phase_fit,
-    resonance_shift,
     synth_trace,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .pipeline.config import AnalysisConfig, load_config
 from .pipeline.dc import extract_tc_rrr
 from .pipeline.forward import synth_sweep
 from .pipeline.io import ingest_rt, ingest_s21, write_s21_csv
-from .pipeline.report import emit_report
+from .pipeline.report import emit_report, to_json
 from .pipeline.sweep import dataset_from_config, sweep_analyze
 from .pipeline.xrd import CU_KALPHA1_ANGSTROM, lattice_constant
 from .resfit import NotchParams, fit_notch, synth_trace
@@ -38,7 +37,7 @@ from .resfit import NotchParams, fit_notch, synth_trace
 def _emit(rows, args, columns=None) -> None:
     """Print a dict or list of dicts as JSON (default) or CSV."""
     if args.format == "json":
-        print(json.dumps(rows, indent=2, allow_nan=True))
+        print(to_json(rows))
         return
     items = rows if isinstance(rows, list) else [rows]
     if not items:
@@ -68,7 +67,7 @@ def cmd_mb(args) -> int:
         sigma = complex_conductivity(
             config.material, float(t), omega, config.fit.sigma2_prefactor
         )
-        zs = surface_impedance(sigma, config.material.thickness_m)
+        zs = surface_impedance(sigma)
         rows.append(
             {
                 "temperature_k": float(t),

@@ -89,17 +89,13 @@ def geometric_inductance(geom: CpwGeometry) -> float:
     return (MU0 / 4.0) * elliptic_k(k0p) / elliptic_k(k0)
 
 
-def surface_impedance(
-    sigma: ComplexConductivity, thickness_m: float | None = None
-) -> SurfaceImpedance:
+def surface_impedance(sigma: ComplexConductivity) -> SurfaceImpedance:
     """Dirty-limit surface impedance from the complex conductivity.
 
     Zs = sqrt(j mu0 omega / (sigma1 - j sigma2)), principal branch,
-    Re(Zs) >= 0. ``thickness_m`` is accepted for signature stability (hook
-    for a finite-thickness coth(d/lambda) correction) but the semi-infinite
-    form is used; the correction is intentionally not applied.
+    Re(Zs) >= 0. This is the semi-infinite form; no finite-thickness
+    correction is applied.
     """
-    del thickness_m
     s = sigma.sigma
     if s == 0:
         raise ValueError("conductivity is zero; surface impedance undefined")

@@ -107,6 +107,11 @@ def _check_regime(hw_ev: float, delta0_ev: float, kt_max_ev: float) -> None:
         )
 
 
+def _sigma2_deficit(kt, xi, boltz, delta0_ev: float):
+    # boltz = exp(-delta0/kT) and xi = hw/2kT, shared with the sigma1 term
+    return np.sqrt(2.0 * np.pi * kt / delta0_ev) * boltz + 2.0 * boltz * special.i0e(xi)
+
+
 def mb_sigma2_deficit(t_kelvin, omega_rad: float, delta0_ev: float):
     """Thermal pair-breaking deficit of sigma2: 1 - sigma2(T)/sigma2(0).
 
@@ -123,7 +128,7 @@ def mb_sigma2_deficit(t_kelvin, omega_rad: float, delta0_ev: float):
         raise ValueError("omega and delta0 must be positive")
     xi = hw / (2.0 * kt)
     boltz = np.exp(-delta0_ev / kt)
-    deficit = np.sqrt(2.0 * np.pi * kt / delta0_ev) * boltz + 2.0 * boltz * special.i0e(xi)
+    deficit = _sigma2_deficit(kt, xi, boltz, delta0_ev)
     return float(deficit) if np.ndim(t_kelvin) == 0 else deficit
 
 
@@ -165,7 +170,7 @@ def mb_sigma_norm(
     sinh_k0 = 0.5 * (1.0 - np.exp(-2.0 * xi)) * special.k0e(xi)
     sigma1 = (4.0 * delta0_ev / hw) * boltz * sinh_k0
 
-    deficit = np.sqrt(2.0 * np.pi * kt / delta0_ev) * boltz + 2.0 * boltz * special.i0e(xi)
+    deficit = _sigma2_deficit(kt, xi, boltz, delta0_ev)
     if sigma2_prefactor == "four":
         pref = 4.0 * delta0_ev / hw
     else:

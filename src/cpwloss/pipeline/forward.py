@@ -75,7 +75,7 @@ def loss_chain(
     ltot_ref = None
     for t in temps:
         sigma = complex_conductivity(material, t, omega0, fit.sigma2_prefactor)
-        zs = surface_impedance(sigma, material.thickness_m)
+        zs = surface_impedance(sigma)
         delta_qp = qp_loss_theory(zs, lg, g)
         qtls = q_tls(t, fit.n_photon, tls_p)
         qi_th = qi_theory(qtls, delta_qp)
@@ -184,7 +184,7 @@ def geom_factor_for_loss(
         raise ValueError("target loss must be positive")
     omega = angular_frequency(f_hz)
     sigma = complex_conductivity(material, t_kelvin, omega, sigma2_prefactor)
-    zs = surface_impedance(sigma, material.thickness_m)
+    zs = surface_impedance(sigma)
     lg = geometric_inductance(geometry)
     headroom = zs.rs_ohm - target_delta_qp * omega * zs.ls_henry
     if headroom <= 0:
@@ -255,7 +255,7 @@ def calibrate_sweep_config(
         material_probe, geometry, f0_hz, t_hot, target_delta, sigma2_prefactor
     )
     sigma_cold = complex_conductivity(material_probe, t_cold, omega0, sigma2_prefactor)
-    zs_cold = surface_impedance(sigma_cold, thickness_m)
+    zs_cold = surface_impedance(sigma_cold)
     alpha = kinetic_fraction(zs_cold, geometric_inductance(geometry), g)
 
     if temperatures is None:

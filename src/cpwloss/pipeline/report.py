@@ -35,6 +35,26 @@ def _num(value):
     return v if math.isfinite(v) else None
 
 
+def _finite(obj):
+    if isinstance(obj, float):
+        return _num(obj)
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def to_json(obj) -> str:
+    """Strict JSON text for report.json and CLI stdout: NaN/inf become null."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        # some float is NaN or inf; copying the tree only then keeps large
+        # tables (cpwloss mb) from being held twice
+        return json.dumps(_finite(obj), indent=2, allow_nan=False)
+
+
 def _entry_to_dict(e: TemperatureEntry) -> dict:
     p = e.fit.params
     return {
@@ -171,9 +191,7 @@ def emit_report(report: AnalysisReport, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     doc = report_to_dict(report)
     json_path = out / "report.json"
-    json_path.write_text(
-        json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    json_path.write_text(to_json(doc) + "\n", encoding="utf-8")
     written.append(json_path)
     if report.entries:
         for name, lines in _csv_rows(report).items():

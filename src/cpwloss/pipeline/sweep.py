@@ -160,7 +160,7 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
         sigma = complex_conductivity(
             dataset.material, t, omega, dataset.fit.sigma2_prefactor
         )
-        zs = surface_impedance(sigma, dataset.material.thickness_m)
+        zs = surface_impedance(sigma)
         delta_qp = qp_loss_theory(zs, lg, g)
         qtls = q_tls(t, dataset.fit.n_photon, tls_params)
         budget = make_budget(

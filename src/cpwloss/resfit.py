@@ -7,8 +7,8 @@ The transmission of a resonator side-coupled to a feedline is modelled as
 
 (diameter-corrected notch form). Fitting proceeds through the usual seeded
 pipeline: cable-delay estimate from the off-resonant wings, algebraic
-(Taubin) circle fit, arctangent phase-vs-frequency fit, environment
-calibration from the off-resonant point, then a joint Levenberg-Marquardt
+(Taubin) circle fit, a closed-form seed of fr, Ql and the environment from
+the circle and its centered phase, then one joint Levenberg-Marquardt
 refinement of all seven parameters on the stacked real/imaginary residuals.
 Qi follows from 1/Qi = 1/Ql - Re(exp(j phi))/|Qc|.
 
@@ -27,6 +27,9 @@ from scipy.optimize import least_squares
 from .errors import FitError
 
 PARAM_NAMES = ("fr_hz", "ql", "qc_mag", "phi_rad", "amp", "phase0_rad", "tau_s")
+
+# LM iteration budget; least_squares gets MAX_ITER * (n_params + 1) evaluations
+MAX_ITER = 200
 
 
 def _wrap_angle(a: float) -> float:
@@ -121,14 +124,6 @@ class CircleFit:
     rms_residual: float
 
 
-@dataclass(frozen=True)
-class PhaseFit:
-    fr_hz: float
-    ql: float
-    theta0_rad: float
-    rms_residual: float
-
-
 def model_s21(p: NotchParams, freq_hz):
     """Evaluate the notch model at the given frequencies."""
     f = np.asarray(freq_hz, dtype=float)
@@ -163,8 +158,8 @@ def synth_trace(
     return S21Trace(f, z, temperature_k=temperature_k, power_dbm=power_dbm)
 
 
-def _wing_slope(f: np.ndarray, z: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of unwrapped phase vs frequency on one wing."""
+def _phase_slope(f: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of unwrapped phase vs frequency, and its variance."""
     theta = np.unwrap(np.angle(z))
     fm = f - f.mean()
     sxx = float(np.dot(fm, fm))
@@ -191,7 +186,7 @@ def estimate_delay(trace: S21Trace, wing_fraction: float = 0.2) -> DelayEstimate
     f, z = trace.freq_hz, trace.s21
     slopes, variances = [], []
     for sl in (slice(0, k), slice(n - k, n)):
-        s, v = _wing_slope(f[sl], z[sl])
+        s, v = _phase_slope(f[sl], z[sl])
         slopes.append(s)
         variances.append(v)
     if all(v == 0.0 for v in variances):
@@ -247,52 +242,30 @@ def circle_fit(points) -> CircleFit:
     return CircleFit(center=center, radius=radius, rms_residual=rms)
 
 
-def phase_fit(trace: S21Trace, center: complex, fr_hint: float | None = None) -> PhaseFit:
-    """Arctangent fit of the centered phase theta(f) = theta0 + 2 atan(2 Ql (1 - f/fr)).
+def _seed_resonance(
+    f: np.ndarray, zc: np.ndarray, idx: int
+) -> tuple[float, float, float]:
+    """Closed-form (fr, Ql, theta0) seed at the dip ``idx`` of the centered trace.
 
-    The trace must already be delay-corrected; ``center`` is the fitted
-    circle center. ``fr_hint`` seeds the resonance location (used by the
-    full pipeline to target the deepest dip when a trace carries more than
-    one); without it the point of steepest phase is used. Raises FitError
-    when the data carries no resonant phase winding (monotonic phase, Ql
-    driven non-positive, or fr outside the span).
+    ``zc`` is the delay-corrected trace minus the circle center, whose
+    phase near resonance is theta(f) = theta0 + 2 atan(2 Ql (1 - f/fr)),
+    so |dtheta/df| = 4 Ql/fr at fr. The slope is a least-squares line over
+    the contiguous points whose phase lies within pi/4 of theta(idx), a
+    window of about 0.4 linewidths that averages out the per-point noise a
+    single-point gradient would pass into the seed.
     """
-    f = trace.freq_hz
-    theta = np.unwrap(np.angle(trace.s21 - center))
-    grad = np.gradient(theta, f)
-    if fr_hint is None:
-        idx = int(np.argmax(np.abs(grad)))
-    else:
-        idx = int(np.argmin(np.abs(f - fr_hint)))
+    theta = np.unwrap(np.angle(zc))
+    far = np.flatnonzero(np.abs(theta - theta[idx]) > math.pi / 4.0)
+    lo = int(far[far < idx].max(initial=-1)) + 1
+    hi = int(far[far > idx].min(initial=f.size))
+    # at least the dip and its neighbours, for grids coarser than the window
+    lo, hi = min(lo, max(idx - 1, 0)), max(hi, min(idx + 2, f.size))
+    slope, _ = _phase_slope(f[lo:hi], zc[lo:hi])
     fr0 = float(f[idx])
-    ql0 = abs(grad[idx]) * fr0 / 4.0
-    if not np.isfinite(ql0) or ql0 <= 0:
-        raise FitError("phase fit: no resonant phase slope found")
-    th0 = float(theta[idx])
-
-    def resid(p):
-        th, ql, fr = p
-        return th + 2.0 * np.arctan(2.0 * ql * (1.0 - f / fr)) - theta
-
-    res = least_squares(
-        resid,
-        [th0, ql0, fr0],
-        method="lm",
-        x_scale=[1.0, ql0, fr0],
-        max_nfev=4000,
-    )
-    th_fit, ql_fit, fr_fit = res.x
-    if res.status <= 0:
-        raise FitError(f"phase fit did not converge: {res.message}")
-    if ql_fit <= 0 or not f[0] <= fr_fit <= f[-1]:
-        raise FitError("phase fit: no resonance within the frequency span")
-    rms = float(np.sqrt(np.mean(res.fun**2)))
-    return PhaseFit(
-        fr_hz=float(fr_fit), ql=float(ql_fit), theta0_rad=float(th_fit), rms_residual=rms
-    )
+    return fr0, abs(slope) * fr0 / 4.0, float(theta[idx])
 
 
-def _refine(f, z, p0, x_scale, max_iter, f_center):
+def _refine(f, z, p0, x_scale, f_center):
     # The environment phase is referenced to the span center: with the
     # f = 0 convention, phase0 and tau are degenerate through a lever arm
     # of order f/span and LM crawls along the resulting sliver valley.
@@ -340,17 +313,18 @@ def _refine(f, z, p0, x_scale, max_iter, f_center):
         ftol=1e-12,
         xtol=1e-12,
         gtol=1e-12,
-        max_nfev=max_iter * (len(p0) + 1),
+        max_nfev=MAX_ITER * (len(p0) + 1),
     )
 
 
-def fit_notch(trace: S21Trace, max_iter: int = 200) -> NotchFitResult:
+def fit_notch(trace: S21Trace) -> NotchFitResult:
     """Full notch-fit pipeline on one trace.
 
-    Raises FitError when no resonance is present or the refinement does not
-    converge. A converged fit whose derived Qi is non-positive is returned
-    with qi = inf and a ``nonphysical_qi`` flag rather than silently
-    clamped.
+    Raises FitError when no resonance is present, the refinement does not
+    converge, or it converges to fr outside the span or to a linewidth
+    fr/Ql wider than the span. A converged fit whose derived Qi is
+    non-positive is returned with qi = inf and a ``nonphysical_qi`` flag
+    rather than silently clamped.
     """
     f, z = trace.freq_hz, trace.s21
     n = len(trace)
@@ -380,22 +354,24 @@ def fit_notch(trace: S21Trace, max_iter: int = 200) -> NotchFitResult:
 
     # seed at the deepest dip: when a trace carries several resonances the
     # single-notch model is fitted to the deepest one
-    fr_hint = float(f[int(np.argmin(np.abs(z1)))])
-    ph = phase_fit(S21Trace(f, z1), circ.center, fr_hint=fr_hint)
-    off_res = circ.center - circ.radius * np.exp(1j * ph.theta0_rad)
+    idx = int(np.argmin(np.abs(z1)))
+    fr0, ql0, theta0 = _seed_resonance(f, z1 - circ.center, idx)
+    if not ql0 > 0.0:
+        raise FitError("no resonance found (no phase slope at the dip)")
+    off_res = circ.center - circ.radius * np.exp(1j * theta0)
     amp0 = abs(off_res)
     if amp0 == 0.0:
         raise FitError("no resonance found (vanishing off-resonant baseline)")
     phase00 = float(np.angle(off_res))
-    qc0 = ph.ql * amp0 / (2.0 * circ.radius)
+    qc0 = ql0 * amp0 / (2.0 * circ.radius)
     phi0 = _wrap_angle(float(np.angle((off_res - circ.center) / off_res)))
 
     f_center = 0.5 * (f[0] + f[-1])
     phase_c0 = phase00 - 2.0 * math.pi * f_center * delay.tau_s
-    p0 = np.array([ph.fr_hz, ph.ql, qc0, phi0, amp0, phase_c0, delay.tau_s])
+    p0 = np.array([fr0, ql0, qc0, phi0, amp0, phase_c0, delay.tau_s])
     tau_scale = max(abs(delay.tau_s), 1.0 / (2.0 * math.pi * (f[-1] - f[0])))
-    x_scale = np.array([ph.fr_hz, ph.ql, qc0, 1.0, amp0, 1.0, tau_scale])
-    res = _refine(f, z, p0, x_scale, max_iter, f_center)
+    x_scale = np.array([fr0, ql0, qc0, 1.0, amp0, 1.0, tau_scale])
+    res = _refine(f, z, p0, x_scale, f_center)
     if res.status <= 0:
         raise FitError(f"notch refinement did not converge: {res.message}")
 
@@ -407,8 +383,8 @@ def fit_notch(trace: S21Trace, max_iter: int = 200) -> NotchFitResult:
         qc, phi = -qc, phi + math.pi
     phi = _wrap_angle(phi)
     ph0 = _wrap_angle(float(ph0))
-    if ql <= 0 or fr <= 0:
-        raise FitError("notch refinement converged to unphysical fr or Ql")
+    if not (ql > 0 and f[0] <= fr <= f[-1] and fr / ql <= f[-1] - f[0]):
+        raise FitError("no resonance within the frequency span")
     if not abs(phi) < math.pi / 2:
         raise FitError(
             f"notch refinement converged to |phi| = {abs(phi):.3f} >= pi/2"
@@ -469,18 +445,3 @@ def fit_notch(trace: S21Trace, max_iter: int = 200) -> NotchFitResult:
         flags=flags,
     )
 
-
-def resonance_shift(
-    fr_series: list[tuple[float, float]], t_ref: float
-) -> list[tuple[float, float]]:
-    """Frequency shift relative to the reference temperature.
-
-    Returns [(T, fr(T) - fr(t_ref)), ...] in input order, with the
-    reference taken at the series point nearest ``t_ref``.
-    """
-    if not fr_series:
-        raise ValueError("empty resonance series")
-    temps = np.array([t for t, _ in fr_series], dtype=float)
-    ref_idx = int(np.argmin(np.abs(temps - t_ref)))
-    fr_ref = fr_series[ref_idx][1]
-    return [(t, fr - fr_ref) for t, fr in fr_series]

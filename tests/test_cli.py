@@ -102,6 +102,23 @@ class TestFitAndSynth:
         assert doc["fr_hz"] == pytest.approx(p.fr_hz, rel=1e-6)
         assert doc["qi"] == pytest.approx(p.qi, rel=1e-3)
 
+    def test_nonphysical_fit_prints_strict_json(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        rc, _, _ = run_cli(
+            capsys, "synth", "--ql", "1.2e5", "--qc", "1e5", "--phi", "0.5",
+            "--points", "2001", "--out", str(path),
+        )
+        assert rc == 0
+        rc, out, _ = run_cli(capsys, "fit", str(path))
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["flags"] == ["nonphysical_qi"]
+        assert doc["qi"] is None and doc["stderr"]["qi"] is None
+
     def test_synth_single_trace(self, capsys, tmp_path):
         out_file = tmp_path / "synth.csv"
         rc, _, _ = run_cli(

@@ -160,32 +160,6 @@ class TestCircleFit:
             resfit.circle_fit(np.linspace(0, 1, 20) + 0.5j)
 
 
-class TestPhaseFit:
-    def test_noiseless_exact(self):
-        p = resfit.NotchParams(fr_hz=5.95e9, ql=8e4, qc_mag=1.2e5, phi_rad=0.0)
-        f = default_grid(p)
-        z = resfit.model_s21(p, f)
-        circ = resfit.circle_fit(z)
-        fit = resfit.phase_fit(resfit.S21Trace(f, z), circ.center)
-        assert fit.fr_hz == pytest.approx(p.fr_hz, rel=1e-9)
-        assert fit.ql == pytest.approx(p.ql, rel=1e-9)
-
-    def test_off_grid_resonance(self):
-        p = resfit.NotchParams(fr_hz=5.95e9 + 13.7, ql=8e4, qc_mag=1.2e5, phi_rad=0.0)
-        half = 5 * 5.95e9 / p.ql
-        f = np.linspace(5.95e9 - half, 5.95e9 + half, 801)  # fr between grid points
-        z = resfit.model_s21(p, f)
-        circ = resfit.circle_fit(z)
-        fit = resfit.phase_fit(resfit.S21Trace(f, z), circ.center)
-        assert abs(fit.fr_hz - p.fr_hz) < (f[1] - f[0])
-
-    def test_monotonic_phase_rejected(self):
-        f = np.linspace(5.9e9, 6.0e9, 256)
-        z = np.exp(1j * np.linspace(0.0, 2.0, 256)) + 2.0
-        with pytest.raises(FitError):
-            resfit.phase_fit(resfit.S21Trace(f, z), 0.0 + 0.0j)
-
-
 class TestFitNotch:
     def test_reference_operating_point_noiseless(self, operating_point):
         f = default_grid(operating_point)
@@ -268,6 +242,19 @@ class TestFitNotch:
         assert abs(res.params.fr_hz - deep.fr_hz) < abs(res.params.fr_hz - shallow.fr_hz)
         assert res.params.fr_hz == pytest.approx(deep.fr_hz, rel=1e-5)
 
+    def test_off_grid_resonance(self):
+        p = resfit.NotchParams(fr_hz=5.95e9 + 13.7, ql=8e4, qc_mag=1.2e5, phi_rad=0.0)
+        half = 5 * 5.95e9 / p.ql
+        f = np.linspace(5.95e9 - half, 5.95e9 + half, 801)  # fr between grid points
+        res = resfit.fit_notch(resfit.S21Trace(f, resfit.model_s21(p, f)))
+        assert abs(res.params.fr_hz - p.fr_hz) < (f[1] - f[0])
+
+    def test_monotonic_phase_rejected(self):
+        f = np.linspace(5.9e9, 6.0e9, 256)
+        z = np.exp(1j * np.linspace(0.0, 2.0, 256)) + 2.0
+        with pytest.raises(FitError):
+            resfit.fit_notch(resfit.S21Trace(f, z))
+
     def test_stderr_tracks_noise(self, operating_point):
         f = default_grid(operating_point)
         quiet = resfit.fit_notch(resfit.synth_trace(operating_point, f, 1e-4, seed=0))
@@ -275,19 +262,3 @@ class TestFitNotch:
         assert loud.stderr["qi"] > 10 * quiet.stderr["qi"]
         assert quiet.rms_residual == pytest.approx(1e-4, rel=0.1)
 
-
-class TestResonanceShift:
-    def test_reference_is_zero(self):
-        series = [(0.1, 5.95e9), (0.5, 5.9499e9), (1.0, 5.9497e9)]
-        out = resfit.resonance_shift(series, 0.1)
-        assert out[0] == (0.1, 0.0)
-        assert out[1][1] == pytest.approx(-1e5, rel=1e-9)
-
-    def test_nearest_reference(self):
-        series = [(0.1, 5.95e9), (0.5, 5.9499e9)]
-        out = resfit.resonance_shift(series, 0.11)
-        assert out[0][1] == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            resfit.resonance_shift([], 0.1)
