@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,34 +62,35 @@ def _file_sha256(path: Path) -> str:
 def cmd_mb(args) -> int:
     config = _require_config(args)
     config.require("material")
-    omega = angular_frequency(args.freq_hz)
-    rows = []
-    for t in np.linspace(args.tmin, args.tmax, args.points):
-        sigma = complex_conductivity(
-            config.material, float(t), omega, config.fit.sigma2_prefactor
-        )
-        zs = surface_impedance(sigma)
-        rows.append(
-            {
-                "temperature_k": float(t),
-                "sigma1_norm": sigma.sigma1_norm,
-                "sigma2_norm": sigma.sigma2_norm,
-                "sigma1_s_per_m": sigma.sigma1,
-                "sigma2_s_per_m": sigma.sigma2,
-                "rs_ohm_sq": zs.rs_ohm,
-                "ls_h_sq": zs.ls_henry,
-            }
-        )
+    temps = np.linspace(args.tmin, args.tmax, args.points)
+    sigma = complex_conductivity(
+        config.material, temps, angular_frequency(args.freq_hz),
+        config.fit.sigma2_prefactor,
+    )
+    zs = surface_impedance(sigma)
+    columns = {
+        "temperature_k": temps,
+        "sigma1_norm": sigma.sigma1_norm,
+        "sigma2_norm": sigma.sigma2_norm,
+        "sigma1_s_per_m": sigma.sigma1,
+        "sigma2_s_per_m": sigma.sigma2,
+        "rs_ohm_sq": zs.rs_ohm,
+        "ls_h_sq": zs.ls_henry,
+    }
+    rows = [
+        dict(zip(columns, row))
+        for row in zip(*(c.tolist() for c in columns.values()))
+    ]
     _emit(rows, args)
     return 0
 
 
 def cmd_fit(args) -> int:
-    traces = ingest_s21(args.trace, fmt=args.trace_format)
-    result = fit_notch(traces[0])
+    trace = ingest_s21(args.trace, fmt=args.trace_format)
+    result = fit_notch(trace)
     p = result.params
     out = {
-        "source": traces[0].source,
+        "source": trace.source,
         "fr_hz": p.fr_hz,
         "ql": p.ql,
         "qc_mag": p.qc_mag,
@@ -128,9 +130,7 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
 def cmd_sweep(args) -> int:
     config = _require_config(args)
     files = _collect_inputs(args.inputs)
-    traces = []
-    for f in files:
-        traces.extend(ingest_s21(f))
+    traces = [ingest_s21(f) for f in files]
     dataset = dataset_from_config(traces, config)
     provenance = {
         "tool": "cpwloss",
@@ -183,16 +183,7 @@ def cmd_synth(args) -> int:
     if args.kind == "sweep":
         config = _require_config(args)
         if args.seed is not None:
-            from dataclasses import replace
-
-            config = AnalysisConfig(
-                material=config.material,
-                geometry=config.geometry,
-                tls=config.tls,
-                fit=config.fit,
-                run=replace(config.run, seed=args.seed),
-                digest=config.digest,
-            )
+            config = replace(config, run=replace(config.run, seed=args.seed))
         traces = synth_sweep(config)
         out_dir = Path(args.out or ".")
         out_dir.mkdir(parents=True, exist_ok=True)

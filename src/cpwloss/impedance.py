@@ -46,15 +46,16 @@ class CpwGeometry:
 
 @dataclass(frozen=True)
 class SurfaceImpedance:
-    """Per-square surface impedance Rs + j*omega*Ls at angular frequency omega."""
+    """Per-square surface impedance Rs + j*omega*Ls at angular frequency omega,
+    at one temperature or elementwise over an array of them."""
 
-    rs_ohm: float
-    ls_henry: float
+    rs_ohm: float | np.ndarray
+    ls_henry: float | np.ndarray
     omega_rad: float
 
     @property
-    def zs(self) -> complex:
-        return complex(self.rs_ohm, self.omega_rad * self.ls_henry)
+    def zs(self):
+        return self.rs_ohm + 1j * (self.omega_rad * self.ls_henry)
 
 
 def elliptic_k(k: float) -> float:
@@ -94,23 +95,22 @@ def surface_impedance(sigma: ComplexConductivity) -> SurfaceImpedance:
 
     Zs = sqrt(j mu0 omega / (sigma1 - j sigma2)), principal branch,
     Re(Zs) >= 0. This is the semi-infinite form; no finite-thickness
-    correction is applied.
+    correction is applied. A conductivity record over an array of
+    temperatures gives Rs and Ls arrays of the same shape.
     """
     s = sigma.sigma
-    if s == 0:
+    if np.any(s == 0):
         raise ValueError("conductivity is zero; surface impedance undefined")
     omega = sigma.omega_rad
     zs = np.sqrt(1j * MU0 * omega / s)
-    if zs.real < 0:
+    if np.any(zs.real < 0):
         raise ValueError("surface impedance left the principal branch (Re < 0)")
-    return SurfaceImpedance(
-        rs_ohm=float(zs.real), ls_henry=float(zs.imag) / omega, omega_rad=omega
-    )
+    return SurfaceImpedance(rs_ohm=zs.real, ls_henry=zs.imag / omega, omega_rad=omega)
 
 
 def qp_loss_theory(
     zs: SurfaceImpedance, lg_h_per_m: float, geom_factor_per_m: float
-) -> float:
+):
     """Theoretical quasiparticle loss tangent of the loaded line.
 
     delta_qp = Rs*g / (omega * (Ls*g + Lg)) where g converts the per-square
@@ -122,16 +122,16 @@ def qp_loss_theory(
     if geom_factor_per_m <= 0:
         raise ValueError("geometry factor must be positive")
     denom = zs.omega_rad * (zs.ls_henry * geom_factor_per_m + lg_h_per_m)
-    if denom <= 0:
+    if np.any(denom <= 0):
         raise ValueError("non-positive inductive denominator: unphysical inputs")
     return zs.rs_ohm * geom_factor_per_m / denom
 
 
 def kinetic_fraction(
     zs: SurfaceImpedance, lg_h_per_m: float, geom_factor_per_m: float
-) -> float:
+):
     """Kinetic-inductance fraction alpha = Ls*g / (Ls*g + Lg)."""
     lk = zs.ls_henry * geom_factor_per_m
-    if lk <= 0 or lg_h_per_m <= 0:
+    if np.any(lk <= 0) or lg_h_per_m <= 0:
         raise ValueError("inductances must be positive")
     return lk / (lk + lg_h_per_m)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import HBAR_EVS, KB_EV, M3_TO_UM3
 from .mbcore import MaterialParams, gap_at_temperature
 
@@ -38,31 +40,39 @@ class TlsParams:
             raise ValueError("omega_rad must be positive")
 
 
-def tls_loss(t_kelvin: float, n_photon: float, p: TlsParams) -> float:
-    """TLS loss tangent 1/Q_TLS at temperature T and drive photon number n."""
-    if t_kelvin <= 0:
+def tls_loss(t_kelvin, n_photon: float, p: TlsParams):
+    """TLS loss tangent 1/Q_TLS at temperature T (scalar or array) and drive
+    photon number n."""
+    t = np.asarray(t_kelvin, dtype=float)
+    if np.any(t <= 0):
         raise ValueError("temperature must be positive")
     if n_photon < 0:
         raise ValueError("photon number must be >= 0")
-    thermal = math.tanh(HBAR_EVS * p.omega_rad / (2.0 * KB_EV * t_kelvin))
+    thermal = np.tanh(HBAR_EVS * p.omega_rad / (2.0 * KB_EV * t))
     saturation = (1.0 + n_photon / p.n_c) ** p.beta_exp
     return p.f_delta0 * thermal / saturation
 
 
-def q_tls(t_kelvin: float, n_photon: float, p: TlsParams) -> float:
+def _inverse(x):
+    # 1/0 = inf and 1/inf = 0: an infinite Q is a vanishing loss channel;
+    # a scalar stays a Python float, as the loss budget's fields are
+    with np.errstate(divide="ignore"):
+        inv = np.divide(1.0, x)
+    return float(inv) if np.ndim(inv) == 0 else inv
+
+
+def q_tls(t_kelvin, n_photon: float, p: TlsParams):
     """TLS quality factor; infinite when the TLS bath is thermally saturated."""
-    loss = tls_loss(t_kelvin, n_photon, p)
-    return math.inf if loss == 0.0 else 1.0 / loss
+    return _inverse(tls_loss(t_kelvin, n_photon, p))
 
 
-def qi_theory(q_tls_value: float, delta_qp: float) -> float:
-    """Combined internal quality factor 1/(1/Q_TLS + delta_qp)."""
-    if q_tls_value <= 0:
+def qi_theory(q_tls_value, delta_qp):
+    """Combined internal quality factor 1/(1/Q_TLS + delta_qp), elementwise."""
+    if np.any(np.asarray(q_tls_value) <= 0):
         raise ValueError("Q_TLS must be positive")
-    if delta_qp < 0:
+    if np.any(np.asarray(delta_qp) < 0):
         raise ValueError("quasiparticle loss must be >= 0")
-    total = (0.0 if math.isinf(q_tls_value) else 1.0 / q_tls_value) + delta_qp
-    return math.inf if total == 0.0 else 1.0 / total
+    return _inverse(_inverse(q_tls_value) + delta_qp)
 
 
 def delta_qp_measured(qi_measured: float, q_tls_value: float) -> float:
@@ -73,8 +83,7 @@ def delta_qp_measured(qi_measured: float, q_tls_value: float) -> float:
     """
     if qi_measured <= 0 or q_tls_value <= 0:
         raise ValueError("quality factors must be positive")
-    tls_term = 0.0 if math.isinf(q_tls_value) else 1.0 / q_tls_value
-    return 1.0 / qi_measured - tls_term
+    return 1.0 / qi_measured - 1.0 / q_tls_value
 
 
 def nqp_from_loss(
@@ -127,10 +136,7 @@ class LossBudget:
     def qi_theory_recomputed(self) -> float:
         """1/(1/Q_TLS + 1/Q_qp) from the stored channels; bit-identical to
         ``qi_theory`` by construction."""
-        tls_term = 0.0 if math.isinf(self.q_tls) else 1.0 / self.q_tls
-        qp_term = 0.0 if math.isinf(self.q_qp_theory) else 1.0 / self.q_qp_theory
-        total = tls_term + qp_term
-        return math.inf if total == 0.0 else 1.0 / total
+        return _inverse(_inverse(self.q_tls) + _inverse(self.q_qp_theory))
 
 
 def make_budget(
@@ -143,8 +149,8 @@ def make_budget(
     gap_model: str = "bcs_tanh",
 ) -> LossBudget:
     """Assemble a self-consistent loss budget for one temperature."""
-    q_qp = math.inf if delta_qp_theory == 0.0 else 1.0 / delta_qp_theory
-    qi_th = qi_theory(q_tls_value, 0.0 if math.isinf(q_qp) else 1.0 / q_qp)
+    q_qp = _inverse(delta_qp_theory)
+    qi_th = qi_theory(q_tls_value, _inverse(q_qp))
     d_meas = delta_qp_measured(qi_measured, q_tls_value)
     negative = d_meas < 0.0
     nqp_meas = (
@@ -176,7 +182,5 @@ def excess_qp_loss(budget: LossBudget) -> tuple[float, bool]:
     the signature of a non-equilibrium quasiparticle channel; a negative raw
     difference (measured better than theory) is clamped to zero and flagged.
     """
-    diff = 1.0 / budget.qi_measured - (
-        0.0 if math.isinf(budget.qi_theory) else 1.0 / budget.qi_theory
-    )
+    diff = 1.0 / budget.qi_measured - 1.0 / budget.qi_theory
     return max(0.0, diff), diff < 0.0

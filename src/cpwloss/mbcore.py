@@ -161,7 +161,7 @@ def mb_sigma_norm(
     hw = HBAR_EVS * omega_rad
     if hw <= 0 or delta0_ev <= 0:
         raise ValueError("omega and delta0 must be positive")
-    _check_regime(hw, delta0_ev, float(np.max(kt)))
+    _check_regime(hw, delta0_ev, float(np.max(kt, initial=0.0)))
 
     xi = hw / (2.0 * kt)
     boltz = np.exp(-delta0_ev / kt)
@@ -247,37 +247,42 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class ComplexConductivity:
-    """Normalized and absolute conductivity of the film at one (T, omega)."""
+    """Normalized and absolute conductivity of the film at angular frequency
+    omega, at one temperature or elementwise over an array of them."""
 
-    sigma1_norm: float
-    sigma2_norm: float
+    sigma1_norm: float | np.ndarray
+    sigma2_norm: float | np.ndarray
     sigma_n: float
-    temperature_k: float
+    temperature_k: float | np.ndarray
     omega_rad: float
 
     @property
-    def sigma1(self) -> float:
+    def sigma1(self):
         """Absolute sigma1, S/m."""
         return self.sigma1_norm * self.sigma_n
 
     @property
-    def sigma2(self) -> float:
+    def sigma2(self):
         """Absolute sigma2, S/m."""
         return self.sigma2_norm * self.sigma_n
 
     @property
-    def sigma(self) -> complex:
+    def sigma(self):
         """Complex conductivity sigma1 - j*sigma2, S/m."""
-        return complex(self.sigma1, -self.sigma2)
+        return self.sigma1 - 1j * self.sigma2
 
 
 def complex_conductivity(
     params: MaterialParams,
-    t_kelvin: float,
+    t_kelvin,
     omega_rad: float,
     sigma2_prefactor: str = "four",
 ) -> ComplexConductivity:
-    """Film conductivity record at one temperature and angular frequency."""
+    """Film conductivity record at angular frequency omega.
+
+    ``t_kelvin`` is one temperature or an array of them; the record's
+    conductivity fields then have its shape.
+    """
     s1n, s2n = mb_sigma_norm(
         t_kelvin, omega_rad, params.delta0_ev, sigma2_prefactor=sigma2_prefactor
     )
@@ -285,8 +290,8 @@ def complex_conductivity(
         sigma1_norm=s1n,
         sigma2_norm=s2n,
         sigma_n=params.sigma_n,
-        temperature_k=float(t_kelvin),
-        omega_rad=float(omega_rad),
+        temperature_k=t_kelvin,
+        omega_rad=omega_rad,
     )
 
 

@@ -51,7 +51,6 @@ class FitSettings:
     geom_factor_per_m: float | None = None
     redshift_nsigma: float = 3.0
     redshift_rel_floor: float = 0.01
-    thin_film_correction: str = "off"
     t_ref_kelvin: float | None = None
 
     def __post_init__(self) -> None:
@@ -61,8 +60,6 @@ class FitSettings:
             )
         if self.gap_model not in GAP_MODELS:
             raise ConfigError(f"fit.gap_model must be one of {GAP_MODELS}")
-        if self.thin_film_correction != "off":
-            raise ConfigError("fit.thin_film_correction: only 'off' is implemented")
         if self.n_photon < 0:
             raise ConfigError("fit.n_photon must be >= 0")
         if self.geom_factor_per_m is not None and self.geom_factor_per_m <= 0:

@@ -1,15 +1,19 @@
 """Forward model chain: material + geometry + TLS -> Qi(T), fr(T), traces.
 
-Used to generate synthetic temperature sweeps (for the synth command and
-for end-to-end round-trip testing) and to calibrate the model scale factors
+``theory_chain`` evaluates the loss chain (Mattis-Bardeen conductivity ->
+surface impedance -> quasiparticle loss -> TLS loss) once over an array of
+temperatures; sweep analysis and ``loss_chain`` build on it. The module
+generates synthetic temperature sweeps (for the synth command and for
+end-to-end round-trip testing) and calibrates the model scale factors
 against a pair of (temperature, Qi) anchor points:
 
 * ``tls_f_delta0_for_q`` pins the TLS strength so Q_TLS(t) hits a target at
   a cold anchor where quasiparticle loss is negligible.
-* ``geom_factor_for_loss`` solves the per-square-to-per-length geometry
-  factor g so the quasiparticle channel reproduces a target loss at a warm
-  anchor. The solve is algebraic: delta = Rs g / (omega (Ls g + Lg)) gives
-  g = delta omega Lg / (Rs - delta omega Ls).
+* ``calibrate_sweep_config`` then solves the per-square-to-per-length
+  geometry factor g so the quasiparticle channel reproduces the remaining
+  loss at a warm anchor, from one conductivity and surface-impedance
+  evaluation at both anchors. The solve is algebraic: delta = Rs g /
+  (omega (Ls g + Lg)) gives g = delta omega Lg / (Rs - delta omega Ls).
 
 The resonance frequency tracks the total line inductance,
 fr(T) = f0 * sqrt(Ltot(T0) / Ltot(T)) with Ltot = Lg + g * Ls(T).
@@ -38,6 +42,36 @@ from .config import AnalysisConfig, FitSettings, TlsSettings, config_from_dict
 
 
 @dataclass(frozen=True)
+class TheoryChain:
+    """The loss chain on a temperature grid; every array is over that grid."""
+
+    sigma: ComplexConductivity
+    zs: SurfaceImpedance
+    delta_qp: np.ndarray
+    q_tls: np.ndarray
+    qi_theory: np.ndarray
+
+
+def theory_chain(
+    material: MaterialParams,
+    geometry: CpwGeometry,
+    tls: TlsSettings,
+    fit: FitSettings,
+    omega: float,
+    temps,
+) -> TheoryChain:
+    """Conductivity, surface impedance, quasiparticle and TLS loss, and the
+    combined Qi, at angular frequency omega over an array of temperatures."""
+    temps = np.asarray(temps, dtype=float)
+    sigma = complex_conductivity(material, temps, omega, fit.sigma2_prefactor)
+    zs = surface_impedance(sigma)
+    lg, g = geometric_inductance(geometry), fit.geom_factor(geometry)
+    delta_qp = qp_loss_theory(zs, lg, g)
+    qtls = q_tls(temps, fit.n_photon, tls.tls_params(omega))
+    return TheoryChain(sigma, zs, delta_qp, qtls, qi_theory(qtls, delta_qp))
+
+
+@dataclass(frozen=True)
 class ChainPoint:
     """Forward-model state at one temperature."""
 
@@ -47,8 +81,6 @@ class ChainPoint:
     delta_qp_theory: float
     qi_theory: float
     qi_total: float
-    sigma: ComplexConductivity
-    zs: SurfaceImpedance
 
 
 def loss_chain(
@@ -64,39 +96,17 @@ def loss_chain(
 
     ``qi_total`` folds in an optional constant excess loss channel (used to
     emulate a non-equilibrium quasiparticle population); ``qi_theory`` is
-    the TLS + thermal-quasiparticle prediction alone.
+    the TLS + thermal-quasiparticle prediction alone. Points are returned in
+    ascending temperature, with fr referred to the coldest one.
     """
-    temps = sorted(float(t) for t in temperatures)
-    omega0 = angular_frequency(f0_hz)
-    lg = geometric_inductance(geometry)
-    g = fit.geom_factor(geometry)
-    tls_p = tls.tls_params(omega0)
-    points: list[ChainPoint] = []
-    ltot_ref = None
-    for t in temps:
-        sigma = complex_conductivity(material, t, omega0, fit.sigma2_prefactor)
-        zs = surface_impedance(sigma)
-        delta_qp = qp_loss_theory(zs, lg, g)
-        qtls = q_tls(t, fit.n_photon, tls_p)
-        qi_th = qi_theory(qtls, delta_qp)
-        qi_tot = 1.0 / (1.0 / qi_th + excess_loss)
-        ltot = lg + g * zs.ls_henry
-        if ltot_ref is None:
-            ltot_ref = ltot
-        fr = f0_hz * math.sqrt(ltot_ref / ltot)
-        points.append(
-            ChainPoint(
-                temperature_k=t,
-                fr_hz=fr,
-                q_tls=qtls,
-                delta_qp_theory=delta_qp,
-                qi_theory=qi_th,
-                qi_total=qi_tot,
-                sigma=sigma,
-                zs=zs,
-            )
-        )
-    return points
+    temps = np.sort(np.asarray(temperatures, dtype=float))
+    chain = theory_chain(material, geometry, tls, fit, angular_frequency(f0_hz), temps)
+    lg, g = geometric_inductance(geometry), fit.geom_factor(geometry)
+    ltot = lg + g * chain.zs.ls_henry
+    fr = f0_hz * np.sqrt(ltot[0] / ltot)
+    qi_total = 1.0 / (1.0 / chain.qi_theory + excess_loss)
+    columns = (temps, fr, chain.q_tls, chain.delta_qp, chain.qi_theory, qi_total)
+    return [ChainPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def synth_sweep(config: AnalysisConfig) -> list[S21Trace]:
@@ -171,30 +181,6 @@ def tls_f_delta0_for_q(
     return saturation / (target_q * thermal)
 
 
-def geom_factor_for_loss(
-    material: MaterialParams,
-    geometry: CpwGeometry,
-    f_hz: float,
-    t_kelvin: float,
-    target_delta_qp: float,
-    sigma2_prefactor: str = "pi",
-) -> float:
-    """Geometry factor g that reproduces a target quasiparticle loss at one T."""
-    if target_delta_qp <= 0:
-        raise ValueError("target loss must be positive")
-    omega = angular_frequency(f_hz)
-    sigma = complex_conductivity(material, t_kelvin, omega, sigma2_prefactor)
-    zs = surface_impedance(sigma)
-    lg = geometric_inductance(geometry)
-    headroom = zs.rs_ohm - target_delta_qp * omega * zs.ls_henry
-    if headroom <= 0:
-        raise ValueError(
-            "target loss exceeds the fully kinetic limit Rs/(omega*Ls) "
-            f"= {zs.rs_ohm / (omega * zs.ls_henry):.3e}"
-        )
-    return target_delta_qp * omega * lg / headroom
-
-
 def calibrate_sweep_config(
     f0_hz: float = 5.95e9,
     qi_cold: float = 1.0e5,
@@ -251,12 +237,21 @@ def calibrate_sweep_config(
     target_delta = 1.0 / qi_hot - tls_hot_loss
     if target_delta <= 0:
         raise ValueError("warm anchor is above the TLS-only prediction")
-    g = geom_factor_for_loss(
-        material_probe, geometry, f0_hz, t_hot, target_delta, sigma2_prefactor
+    zs = surface_impedance(
+        complex_conductivity(
+            material_probe, np.array([t_cold, t_hot]), omega0, sigma2_prefactor
+        )
     )
-    sigma_cold = complex_conductivity(material_probe, t_cold, omega0, sigma2_prefactor)
-    zs_cold = surface_impedance(sigma_cold)
-    alpha = kinetic_fraction(zs_cold, geometric_inductance(geometry), g)
+    rs_hot, ls_hot = float(zs.rs_ohm[1]), float(zs.ls_henry[1])
+    headroom = rs_hot - target_delta * omega0 * ls_hot
+    if headroom <= 0:
+        raise ValueError(
+            "target loss exceeds the fully kinetic limit Rs/(omega*Ls) "
+            f"= {rs_hot / (omega0 * ls_hot):.3e}"
+        )
+    lg = geometric_inductance(geometry)
+    g = float(target_delta * omega0 * lg / headroom)
+    alpha = float(kinetic_fraction(zs, lg, g)[0])
 
     if temperatures is None:
         temperatures = [round(v, 4) for v in np.linspace(0.12, 2.9, 30)]

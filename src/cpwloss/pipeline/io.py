@@ -71,7 +71,7 @@ def _finish_trace(freq, s21, meta, path) -> S21Trace:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _parse_s21_csv(text: str, path) -> list[S21Trace]:
+def _parse_s21_csv(text: str, path) -> S21Trace:
     meta: dict = {}
     mode = None
     freq: list[float] = []
@@ -107,13 +107,13 @@ def _parse_s21_csv(text: str, path) -> list[S21Trace]:
             vals.append(complex(mag * math.cos(ang), mag * math.sin(ang)))
     if mode is None:
         raise InputError(f"{path}: empty file (no header found)")
-    return [_finish_trace(freq, vals, meta, path)]
+    return _finish_trace(freq, vals, meta, path)
 
 
 _TS_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 
-def _parse_touchstone(text: str, path) -> list[S21Trace]:
+def _parse_touchstone(text: str, path) -> S21Trace:
     meta: dict = {}
     unit = 1e9
     fmt = "ma"
@@ -161,18 +161,18 @@ def _parse_touchstone(text: str, path) -> list[S21Trace]:
             vals.append(complex(mag * math.cos(ang), mag * math.sin(ang)))
     if not saw_option and not freq:
         raise InputError(f"{path}: empty touchstone file")
-    return [_finish_trace(freq, vals, meta, path)]
+    return _finish_trace(freq, vals, meta, path)
 
 
-def ingest_s21(path: str | Path, fmt: str = "auto") -> list[S21Trace]:
-    """Read S21 trace(s) from a CSV or touchstone file.
+def ingest_s21(path: str | Path, fmt: str = "auto") -> S21Trace:
+    """Read the S21 trace of a CSV or touchstone file.
 
     Args:
         path: input file.
         fmt: "csv", "touchstone", or "auto" (by file extension).
 
     Returns:
-        List of validated traces (one per file for the supported formats).
+        The validated trace.
     """
     p = Path(path)
     if fmt == "auto":

@@ -13,16 +13,12 @@ import numpy as np
 
 from ..constants import angular_frequency
 from ..errors import FitError, InputError
-from ..impedance import (
-    CpwGeometry,
-    geometric_inductance,
-    qp_loss_theory,
-    surface_impedance,
-)
-from ..lossmodel import LossBudget, excess_qp_loss, make_budget, q_tls
-from ..mbcore import MaterialParams, complex_conductivity
+from ..impedance import CpwGeometry
+from ..lossmodel import LossBudget, excess_qp_loss, make_budget
+from ..mbcore import MaterialParams
 from ..resfit import NotchFitResult, S21Trace, fit_notch
 from .config import AnalysisConfig, FitSettings, TlsSettings
+from .forward import theory_chain
 
 
 @dataclass
@@ -122,7 +118,7 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
     Unfittable traces degrade to failure entries; the analysis fails only
     when no trace fits. The theory chain (conductivity, surface impedance,
     TLS) is evaluated at the fitted resonance frequency of the coldest
-    successful trace.
+    successful trace, once over all fitted temperatures.
     """
     fits: list[tuple[S21Trace, NotchFitResult]] = []
     failures: list[FailureEntry] = []
@@ -150,19 +146,28 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
     fr_ref = ref_fit.params.fr_hz
     omega = angular_frequency(fr_ref)
 
-    tls_params = dataset.tls.tls_params(omega)
-    lg = geometric_inductance(dataset.geometry)
-    g = dataset.fit.geom_factor(dataset.geometry)
-
+    chain = theory_chain(
+        dataset.material,
+        dataset.geometry,
+        dataset.tls,
+        dataset.fit,
+        omega,
+        [trace.temperature_k for trace, _ in fits],
+    )
+    sigma = chain.sigma
+    columns = (
+        chain.q_tls,
+        chain.delta_qp,
+        sigma.sigma1_norm,
+        sigma.sigma2_norm,
+        sigma.sigma1,
+        sigma.sigma2,
+    )
     entries: list[TemperatureEntry] = []
-    for trace, fit in fits:
+    for (trace, fit), (qtls, delta_qp, s1n, s2n, s1, s2) in zip(
+        fits, zip(*(c.tolist() for c in columns))
+    ):
         t = trace.temperature_k
-        sigma = complex_conductivity(
-            dataset.material, t, omega, dataset.fit.sigma2_prefactor
-        )
-        zs = surface_impedance(sigma)
-        delta_qp = qp_loss_theory(zs, lg, g)
-        qtls = q_tls(t, dataset.fit.n_photon, tls_params)
         budget = make_budget(
             t_kelvin=t,
             q_tls_value=qtls,
@@ -183,10 +188,10 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
                 delta_qp_theory=delta_qp,
                 excess_loss=excess,
                 excess_negative=negative,
-                sigma1_norm=sigma.sigma1_norm,
-                sigma2_norm=sigma.sigma2_norm,
-                sigma1_s_per_m=sigma.sigma1,
-                sigma2_s_per_m=sigma.sigma2,
+                sigma1_norm=s1n,
+                sigma2_norm=s2n,
+                sigma1_s_per_m=s1,
+                sigma2_s_per_m=s2,
             )
         )
 

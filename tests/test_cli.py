@@ -129,7 +129,7 @@ class TestFitAndSynth:
         assert out_file.exists()
         from cpwloss.pipeline.io import ingest_s21
 
-        tr = ingest_s21(out_file)[0]
+        tr = ingest_s21(out_file)
         assert len(tr) == 2001
 
     def test_csv_output_format(self, capsys):
@@ -155,6 +155,30 @@ class TestMb:
         assert len(rows) == 7
         s1 = [r["sigma1_norm"] for r in rows]
         assert s1 == sorted(s1)
+
+    @pytest.mark.parametrize(
+        "material_only, extra",
+        [(False, ("--format", "csv")), (True, ()), (False, ("--points", "0"))],
+    )
+    def test_table_variants(self, capsys, tmp_path, sweep_setup, material_only, extra):
+        cfg_path, _ = sweep_setup
+        if material_only:
+            doc = json.loads(cfg_path.read_text())
+            cfg_path = tmp_path / "material.json"
+            cfg_path.write_text(json.dumps({"material": doc["material"]}))
+        rc, out, _ = run_cli(capsys, "mb", "--config", str(cfg_path), *extra)
+        assert rc == 0
+        if "--format" in extra:
+            header, *lines = out.strip().splitlines()
+            assert header.startswith("temperature_k,sigma1_norm,")
+            assert len(lines) == 30
+            assert "np.float64(" not in out
+            for line in lines:
+                [float(v) for v in line.split(",")]
+        elif "--points" in extra:
+            assert json.loads(out) == []
+        else:
+            assert len(json.loads(out)) == 30
 
 
 class TestSweepCommand:

@@ -21,9 +21,7 @@ class TestIngestS21Csv:
             "freq_hz,s21_re,s21_im\n"
             "5.0e9,1.0,0.0\n5.1e9,0.5,-0.5\n5.2e9,0.9,0.1\n"
         )
-        traces = ingest_s21(p)
-        assert len(traces) == 1
-        tr = traces[0]
+        tr = ingest_s21(p)
         assert len(tr) == 3
         assert tr.temperature_k == 0.12
         assert tr.power_dbm == -135.0
@@ -42,7 +40,7 @@ class TestIngestS21Csv:
         p1, p2 = tmp_path / "ri.csv", tmp_path / "db.csv"
         p1.write_text("\n".join(ri))
         p2.write_text("\n".join(db))
-        a, b = ingest_s21(p1)[0], ingest_s21(p2)[0]
+        a, b = ingest_s21(p1), ingest_s21(p2)
         np.testing.assert_allclose(a.s21, b.s21, rtol=0, atol=1e-9)
 
     def test_non_monotone_sorted_with_warning(self, tmp_path):
@@ -51,7 +49,7 @@ class TestIngestS21Csv:
             "freq_hz,s21_re,s21_im\n5.2e9,3.0,0.0\n5.0e9,1.0,0.0\n5.1e9,2.0,0.0\n"
         )
         with pytest.warns(DataQualityWarning):
-            tr = ingest_s21(p)[0]
+            tr = ingest_s21(p)
         assert np.all(np.diff(tr.freq_hz) > 0)
         assert tr.s21[0] == 1.0 + 0j
 
@@ -78,7 +76,7 @@ class TestIngestS21Csv:
         tr = synth_trace(p, default_grid(p, n=64), 1e-3, seed=9, temperature_k=1.5)
         path = tmp_path / "rt.csv"
         write_s21_csv(path, tr)
-        back = ingest_s21(path)[0]
+        back = ingest_s21(path)
         np.testing.assert_array_equal(back.freq_hz, tr.freq_hz)
         np.testing.assert_array_equal(back.s21, tr.s21)
         assert back.temperature_k == 1.5
@@ -95,7 +93,7 @@ class TestIngestTouchstone:
             "5.1e9 0.9 0.0 0.7 -0.2 0.01 0.0 0.9 0.0",
         ]
         p.write_text(self.header("RI") + "\n".join(rows) + "\n")
-        tr = ingest_s21(p)[0]
+        tr = ingest_s21(p)
         assert tr.temperature_k == 0.5
         assert tr.s21[0] == 0.8 - 0.1j
         assert tr.s21[1] == 0.7 - 0.2j
@@ -107,7 +105,7 @@ class TestIngestTouchstone:
             "5.1e9 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0",
         ]
         p.write_text(self.header("DB") + "\n".join(rows) + "\n")
-        tr = ingest_s21(p)[0]
+        tr = ingest_s21(p)
         assert tr.s21[0] == pytest.approx(0.5j, abs=1e-12)
         assert tr.s21[1] == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
@@ -116,7 +114,7 @@ class TestIngestTouchstone:
         p.write_text(
             "# GHZ S RI R 50\n5.0 0 0 1 0 0 0 0 0\n5.1 0 0 1 0 0 0 0 0\n"
         )
-        tr = ingest_s21(p)[0]
+        tr = ingest_s21(p)
         assert tr.freq_hz[0] == 5.0e9
 
     def test_ma_rejected(self, tmp_path):

@@ -5,13 +5,16 @@ import pytest
 
 from cpwloss.constants import M3_TO_UM3, angular_frequency
 from cpwloss.errors import FitError, InputError
-from cpwloss.lossmodel import nqp_from_loss
+from cpwloss.impedance import geometric_inductance, qp_loss_theory, surface_impedance
+from cpwloss.lossmodel import nqp_from_loss, q_tls, qi_theory
+from cpwloss.mbcore import complex_conductivity
 from cpwloss.pipeline.config import config_from_dict
 from cpwloss.pipeline.forward import (
     calibrate_sweep_config,
     loss_chain,
     reference_chain,
     synth_sweep,
+    theory_chain,
     tls_f_delta0_for_q,
 )
 from cpwloss.pipeline.report import emit_report, report_to_dict
@@ -46,24 +49,69 @@ class TestForwardModel:
 
     def test_tls_calibration_closed_form(self):
         f_d0 = tls_f_delta0_for_q(1e5, 0.12, 5.95e9, 10.0, 0.5)
-        from cpwloss.lossmodel import TlsParams, q_tls
+        from cpwloss.lossmodel import TlsParams
 
         p = TlsParams(f_delta0=f_d0, n_c=10.0, beta_exp=0.5,
                       omega_rad=angular_frequency(5.95e9))
         assert q_tls(0.12, 1.0, p) == pytest.approx(1e5, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "qi_hot, match", [(1e7, "TLS-only"), (1e3, "fully kinetic limit")]
+    )
+    def test_calibration_rejects_unreachable_warm_anchor(self, qi_hot, match):
+        with pytest.raises(ValueError, match=match):
+            calibrate_sweep_config(qi_hot=qi_hot)
+
+    def test_theory_chain_matches_scalar_blocks(self, calibrated_doc):
+        # the array chain against the same blocks called one temperature at
+        # a time; numpy and CPython round complex division and tanh apart
+        config = config_from_dict(calibrated_doc)
+        omega = angular_frequency(config.run.frequency_hz)
+        chain = theory_chain(
+            config.material, config.geometry, config.tls, config.fit, omega,
+            config.run.temperatures,
+        )
+        lg = geometric_inductance(config.geometry)
+        g = config.fit.geom_factor(config.geometry)
+        tls = config.tls.tls_params(omega)
+        for i, t in enumerate(config.run.temperatures):
+            sigma = complex_conductivity(
+                config.material, t, omega, config.fit.sigma2_prefactor
+            )
+            zs = surface_impedance(sigma)
+            delta = qp_loss_theory(zs, lg, g)
+            qtls = q_tls(t, config.fit.n_photon, tls)
+            pairs = {
+                "sigma1": (chain.sigma.sigma1[i], sigma.sigma1),
+                "sigma2": (chain.sigma.sigma2[i], sigma.sigma2),
+                "rs_ohm": (chain.zs.rs_ohm[i], zs.rs_ohm),
+                "ls_henry": (chain.zs.ls_henry[i], zs.ls_henry),
+                "delta_qp": (chain.delta_qp[i], delta),
+                "q_tls": (chain.q_tls[i], qtls),
+                "qi_theory": (chain.qi_theory[i], qi_theory(qtls, delta)),
+            }
+            for name, (got, want) in pairs.items():
+                assert abs(got - want) <= 4 * np.spacing(abs(want)), (name, t)
+
     def test_kinetic_perturbation_oracle(self, calibrated_doc):
         # exact fr from the inductance ratio vs the first-order estimate
         # df/f = -(alpha/2) dLs/Ls; with the semi-infinite surface
         # impedance (Ls ~ sigma2^-1/2) this equals -(alpha/4) dsigma2/sigma2
+        config = config_from_dict(calibrated_doc)
         pts = reference_chain(calibrated_doc)
+        chain = theory_chain(
+            config.material, config.geometry, config.tls, config.fit,
+            angular_frequency(config.run.frequency_hz),
+            [pt.temperature_k for pt in pts],
+        )
+        ls, s2 = chain.zs.ls_henry, chain.sigma.sigma2_norm
         alpha = calibrated_doc["material"]["alpha"]
         ref = pts[0]
-        for pt in pts[1:]:
+        for pt, ls_t, s2_t in zip(pts[1:], ls[1:], s2[1:]):
             df_exact = pt.fr_hz - ref.fr_hz
-            dls = (pt.zs.ls_henry - ref.zs.ls_henry) / ref.zs.ls_henry
+            dls = (ls_t - ls[0]) / ls[0]
             df_linear = -0.5 * alpha * dls * ref.fr_hz
-            ds2 = (pt.sigma.sigma2_norm - ref.sigma.sigma2_norm) / ref.sigma.sigma2_norm
+            ds2 = (s2_t - s2[0]) / s2[0]
             df_sigma = 0.25 * alpha * ds2 * ref.fr_hz
             if abs(df_exact) > 1.0:
                 assert df_linear == pytest.approx(df_exact, rel=0.1)
