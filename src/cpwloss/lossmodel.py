@@ -133,11 +133,6 @@ class LossBudget:
     nqp_theory_per_um3: float
     negative_loss: bool
 
-    def qi_theory_recomputed(self) -> float:
-        """1/(1/Q_TLS + 1/Q_qp) from the stored channels; bit-identical to
-        ``qi_theory`` by construction."""
-        return _inverse(_inverse(self.q_tls) + _inverse(self.q_qp_theory))
-
 
 def make_budget(
     t_kelvin: float,
@@ -150,7 +145,7 @@ def make_budget(
 ) -> LossBudget:
     """Assemble a self-consistent loss budget for one temperature."""
     q_qp = _inverse(delta_qp_theory)
-    qi_th = qi_theory(q_tls_value, _inverse(q_qp))
+    qi_th = qi_theory(q_tls_value, delta_qp_theory)
     d_meas = delta_qp_measured(qi_measured, q_tls_value)
     negative = d_meas < 0.0
     nqp_meas = (

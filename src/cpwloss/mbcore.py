@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .constants import BCS_GAP_RATIO, HBAR_EVS, KB_EV
 from .errors import ApproximationWarning, QuadratureError
@@ -328,6 +328,8 @@ def mb_full_oracle(
         raise ValueError("omega and delta0 must be positive")
     if hw >= 2.0 * d:
         raise ValueError("hbar*omega >= 2*delta0: outside the sub-gap regime")
+    # imported here, its only use, so the CLI does not load it at start-up
+    from scipy import integrate
 
     def integrand1(u: float) -> float:
         e = d + u * u

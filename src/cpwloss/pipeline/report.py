@@ -10,20 +10,51 @@ from __future__ import annotations
 
 import json
 import math
+from operator import attrgetter
 from pathlib import Path
 
 from .sweep import AnalysisReport, TemperatureEntry
 
 SCHEMA_VERSION = 1
 
-CSV_SCHEMAS = {
-    "qi_vs_T.csv": "temperature_K,qi_measured,qi_stderr,qi_theory,q_tls,q_qp_theory",
-    "df_vs_T.csv": "temperature_K,fr_hz,fr_stderr_hz,delta_f_hz",
-    "sigma_vs_T.csv": "temperature_K,sigma1_norm,sigma2_norm,sigma1_s_per_m,sigma2_s_per_m",
-    "nqp_vs_T.csv": (
-        "temperature_K,nqp_measured_per_um3,nqp_theory_per_um3,"
-        "delta_qp_measured,negative_loss"
+_TEMPERATURE = ("temperature_K", attrgetter("temperature_k"))
+
+# one (header, value-of-entry) pair per column: the CSV header rows and the
+# provenance schemas both come from this table
+_CSV_COLUMNS = {
+    "qi_vs_T.csv": (
+        _TEMPERATURE,
+        ("qi_measured", attrgetter("fit.qi")),
+        ("qi_stderr", lambda e: e.fit.stderr.get("qi")),
+        ("qi_theory", attrgetter("budget.qi_theory")),
+        ("q_tls", attrgetter("budget.q_tls")),
+        ("q_qp_theory", attrgetter("budget.q_qp_theory")),
     ),
+    "df_vs_T.csv": (
+        _TEMPERATURE,
+        ("fr_hz", attrgetter("fit.params.fr_hz")),
+        ("fr_stderr_hz", lambda e: e.fit.stderr.get("fr_hz")),
+        ("delta_f_hz", attrgetter("delta_f_hz")),
+    ),
+    "sigma_vs_T.csv": (
+        _TEMPERATURE,
+        ("sigma1_norm", attrgetter("sigma1_norm")),
+        ("sigma2_norm", attrgetter("sigma2_norm")),
+        ("sigma1_s_per_m", attrgetter("sigma1_s_per_m")),
+        ("sigma2_s_per_m", attrgetter("sigma2_s_per_m")),
+    ),
+    "nqp_vs_T.csv": (
+        _TEMPERATURE,
+        ("nqp_measured_per_um3", attrgetter("budget.nqp_measured_per_um3")),
+        ("nqp_theory_per_um3", attrgetter("budget.nqp_theory_per_um3")),
+        ("delta_qp_measured", attrgetter("budget.delta_qp_measured")),
+        ("negative_loss", attrgetter("budget.negative_loss")),
+    ),
+}
+
+CSV_SCHEMAS = {
+    name: ",".join(header for header, _ in columns)
+    for name, columns in _CSV_COLUMNS.items()
 }
 
 
@@ -127,57 +158,11 @@ def _fmt(value) -> str:
 
 
 def _csv_rows(report: AnalysisReport) -> dict[str, list[str]]:
-    rows: dict[str, list[str]] = {name: [hdr] for name, hdr in CSV_SCHEMAS.items()}
-    for e in report.entries:
-        p = e.fit.params
-        rows["qi_vs_T.csv"].append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    e.temperature_k,
-                    e.fit.qi,
-                    e.fit.stderr.get("qi"),
-                    e.budget.qi_theory,
-                    e.budget.q_tls,
-                    e.budget.q_qp_theory,
-                )
-            )
-        )
-        rows["df_vs_T.csv"].append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    e.temperature_k,
-                    p.fr_hz,
-                    e.fit.stderr.get("fr_hz"),
-                    e.delta_f_hz,
-                )
-            )
-        )
-        rows["sigma_vs_T.csv"].append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    e.temperature_k,
-                    e.sigma1_norm,
-                    e.sigma2_norm,
-                    e.sigma1_s_per_m,
-                    e.sigma2_s_per_m,
-                )
-            )
-        )
-        rows["nqp_vs_T.csv"].append(
-            ",".join(
-                [
-                    _fmt(e.temperature_k),
-                    _fmt(e.budget.nqp_measured_per_um3),
-                    _fmt(e.budget.nqp_theory_per_um3),
-                    _fmt(e.budget.delta_qp_measured),
-                    _fmt(e.budget.negative_loss),
-                ]
-            )
-        )
-    return rows
+    return {
+        name: [CSV_SCHEMAS[name]]
+        + [",".join(_fmt(value(e)) for _, value in columns) for e in report.entries]
+        for name, columns in _CSV_COLUMNS.items()
+    }
 
 
 def emit_report(report: AnalysisReport, out_dir: str | Path) -> list[Path]:

@@ -116,9 +116,11 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
     """Fit every trace and decompose the loss budget per temperature.
 
     Unfittable traces degrade to failure entries; the analysis fails only
-    when no trace fits. The theory chain (conductivity, surface impedance,
-    TLS) is evaluated at the fitted resonance frequency of the coldest
-    successful trace, once over all fitted temperatures.
+    when no trace fits. The reference trace is the coldest successful one,
+    or, with ``fit.t_ref_kelvin`` set, the successful trace nearest that
+    temperature. The theory chain (conductivity, surface impedance, TLS)
+    is evaluated at the reference trace's fitted resonance frequency, once
+    over all fitted temperatures, and ``delta_f_hz`` is measured from it.
     """
     fits: list[tuple[S21Trace, NotchFitResult]] = []
     failures: list[FailureEntry] = []

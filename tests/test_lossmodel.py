@@ -117,19 +117,25 @@ class TestNqpFromLoss:
 
 
 class TestBudget:
-    def make(self, nbn_film, qi_measured=8e4, t=0.5):
+    def make(self, nbn_film, qi_measured=8e4, t=0.5, delta_qp=1e-7):
         return lossmodel.make_budget(
             t_kelvin=t,
             q_tls_value=1e5,
-            delta_qp_theory=1e-7,
+            delta_qp_theory=delta_qp,
             qi_measured=qi_measured,
             material=nbn_film,
             omega_rad=OMEGA0,
         )
 
     def test_channel_identity_bitwise(self, nbn_film):
-        b = self.make(nbn_film)
-        assert b.qi_theory == b.qi_theory_recomputed()
+        # 1/(1/2.167e-7) differs from 2.167e-7 in the last digit, and the
+        # difference reaches Qi_theory: the budget must compose delta_qp
+        # itself, as the theory chain does
+        assert 1.0 / (1.0 / 2.167e-7) != 2.167e-7
+        for delta_qp in (1e-7, 2.167e-7):
+            b = self.make(nbn_film, delta_qp=delta_qp)
+            assert b.qi_theory == lossmodel.qi_theory(1e5, delta_qp)
+            assert b.q_qp_theory == 1.0 / delta_qp
 
     def test_negative_loss_flagging(self, nbn_film):
         clean = self.make(nbn_film, qi_measured=8e4)

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cpwloss.errors import ConfigError, DataQualityWarning, InputError
 from cpwloss.pipeline import config as cfgmod
@@ -151,6 +154,102 @@ class TestIngestRt:
         p.write_text("temperature_K,resistance_ohm\n2.0,-1.0\n")
         with pytest.raises(InputError, match="negative"):
             ingest_rt(p)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("t.csv", "freq_hz,s21_db,s21_deg\n5.0e9,0,0\n5.1e9,1e6,0\n"),
+        ("t.s2p", "# HZ S DB R 50\n5.0e9 0 0 0 0 0 0 0 0\n5.1e9 0 0 1e6 0 0 0 0 0\n"),
+    ],
+)
+def test_db_overflow_is_input_error(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(InputError, match="non-finite"):
+        ingest_s21(p)
+
+
+FUZZ = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# (file name, reader, header lines, columns, column separator, comment lines)
+FORMATS = {
+    "csv_ri": ("t.csv", ingest_s21, ["# power_dbm=-135", "freq_hz,s21_re,s21_im"],
+               3, ",", ["# note", ""]),
+    "csv_db": ("t.csv", ingest_s21, ["freq_hz , S21_dB,s21_deg"], 3, ",", ["# x", " "]),
+    "s2p": ("t.s2p", ingest_s21, ["! temperature_K=0.5", "# HZ S DB R 50"],
+            9, " ", ["! note", "", "  ! indented"]),
+    "rt": ("rt.csv", ingest_rt, ["temperature_K,resistance_ohm"],
+           2, ",", ["# temperature_K=not read", ""]),
+}
+
+BAD_TOKENS = ["oops", "1_000", "1.0.0", "", "nan", "-inf", "1e999", "0x10", "1e", "\uff11"]
+
+
+def _read(tmp_path, fmt, text):
+    """Run one reader on ``text``: a value or an InputError, never another
+    exception or a warning other than the documented data-quality one."""
+    name, reader, *_ = FORMATS[fmt]
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", DataQualityWarning)
+        return reader(p)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@FUZZ
+@given(data=st.data())
+def test_fuzz_arbitrary_text(tmp_path, fmt, data):
+    header = "\n".join(FORMATS[fmt][2])
+    body = data.draw(
+        st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789.,-+eE_ \t#!naifHzGRIDBM\n"),
+        )
+    )
+    prefix = data.draw(st.sampled_from(["", header + "\n"]))
+    try:
+        _read(tmp_path, fmt, prefix + body)
+    except InputError:
+        pass
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@FUZZ
+@given(data=st.data())
+def test_fuzz_bad_token_names_its_line(tmp_path, fmt, data):
+    _, _, header, ncols, sep, fillers = FORMATS[fmt]
+    nrows = data.draw(st.integers(2, 8))
+    bad_row = data.draw(st.integers(0, nrows - 1))
+    bad_col = data.draw(st.integers(0, ncols - 1))
+    token = data.draw(st.none() | st.sampled_from(BAD_TOKENS))
+    if fmt == "rt" and bad_col == 1:
+        token = data.draw(st.sampled_from([token, "-2.5"]))
+    lines = list(header)
+    bad_line = None
+    for i in range(nrows):
+        lines.extend(data.draw(st.lists(st.sampled_from(fillers), max_size=2)))
+        cells = [repr(5.0e9 + 1e3 * i)] + ["0.5"] * (ncols - 1)
+        if i == bad_row and token is not None:
+            cells[bad_col] = token
+            bad_line = len(lines) + 1
+        lines.append(sep.join(cells))
+    text = "\n".join(lines) + "\n"
+    if bad_line is None:
+        _read(tmp_path, fmt, text)
+        return
+    with pytest.raises(InputError) as info:
+        _read(tmp_path, fmt, text)
+    assert f":{bad_line}:" in str(info.value)
+    if token == "-2.5":
+        assert "negative resistance" in str(info.value)
 
 
 def synthetic_rt(tc=10.7, plateau=159.5, rrr=0.98, width=0.08):

@@ -139,9 +139,25 @@ class TestSweepAnalyze:
             assert entry.budget.qi_measured == pytest.approx(want, rel=0.05)
 
     def test_qi_theory_conservation_per_entry(self, analyzed):
-        _, _, report = analyzed
-        for e in report.entries:
-            assert e.budget.qi_theory == e.budget.qi_theory_recomputed()
+        config, _, report = analyzed
+        chain = theory_chain(
+            config.material, config.geometry, config.tls, config.fit,
+            angular_frequency(report.derived["reference_fr_hz"]),
+            [e.temperature_k for e in report.entries],
+        )
+        assert [e.budget.qi_theory for e in report.entries] == chain.qi_theory.tolist()
+
+    def test_reference_is_fitted_trace_nearest_t_ref(self, analyzed, calibrated_doc):
+        _, traces, _ = analyzed
+        doc = dict(calibrated_doc, fit=dict(calibrated_doc["fit"], t_ref_kelvin=1.0))
+        config = config_from_dict(doc)
+        report = sweep_analyze(dataset_from_config(traces, config))
+        temps = [e.temperature_k for e in report.entries]
+        nearest = min(temps, key=lambda t: abs(t - 1.0))
+        assert nearest != temps[0]
+        assert report.derived["reference_temperature_k"] == nearest
+        ref = next(e for e in report.entries if e.temperature_k == nearest)
+        assert ref.delta_f_hz == 0.0
 
     def test_density_two_path_identity(self, analyzed):
         config, _, report = analyzed
@@ -234,6 +250,58 @@ class TestEmitReport:
         assert [p.name for p in written] == ["report.json"]
         doc = json.loads((tmp_path / "empty" / "report.json").read_text())
         assert doc["per_temperature"] == []
+
+    def test_csv_columns_match_report_json(self, analyzed, tmp_path):
+        _, _, report = analyzed
+        out = tmp_path / "cols"
+        emit_report(report, out)
+        doc = json.loads((out / "report.json").read_text())
+        t = ("temperature_k",)
+        columns = {
+            "qi_vs_T.csv": {
+                "temperature_K": t, "qi_measured": ("fit", "qi"),
+                "qi_stderr": ("fit", "stderr", "qi"),
+                "qi_theory": ("budget", "qi_theory"), "q_tls": ("budget", "q_tls"),
+                "q_qp_theory": ("budget", "q_qp_theory"),
+            },
+            "df_vs_T.csv": {
+                "temperature_K": t, "fr_hz": ("fit", "fr_hz"),
+                "fr_stderr_hz": ("fit", "stderr", "fr_hz"), "delta_f_hz": ("delta_f_hz",),
+            },
+            "sigma_vs_T.csv": {
+                "temperature_K": t, "sigma1_norm": ("sigma", "sigma1_norm"),
+                "sigma2_norm": ("sigma", "sigma2_norm"),
+                "sigma1_s_per_m": ("sigma", "sigma1_s_per_m"),
+                "sigma2_s_per_m": ("sigma", "sigma2_s_per_m"),
+            },
+            "nqp_vs_T.csv": {
+                "temperature_K": t,
+                "nqp_measured_per_um3": ("budget", "nqp_measured_per_um3"),
+                "nqp_theory_per_um3": ("budget", "nqp_theory_per_um3"),
+                "delta_qp_measured": ("budget", "delta_qp_measured"),
+                "negative_loss": ("budget", "negative_loss"),
+            },
+        }
+
+        def cell(entry, path):
+            for key in path:
+                entry = entry[key]
+            if entry is None:
+                return ""
+            if isinstance(entry, bool):
+                return "1" if entry else "0"
+            return repr(entry)
+
+        assert doc["provenance"]["csv_schemas"] == {
+            name: ",".join(cols) for name, cols in sorted(columns.items())
+        }
+        for name, cols in columns.items():
+            header, *rows = (out / name).read_text().splitlines()
+            assert header == ",".join(cols)
+            assert rows == [
+                ",".join(cell(e, path) for path in cols.values())
+                for e in doc["per_temperature"]
+            ]
 
     def test_csv_row_count(self, analyzed, tmp_path):
         _, _, report = analyzed
