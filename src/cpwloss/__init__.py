@@ -39,9 +39,7 @@ from .mbcore import (
     complex_conductivity,
     gap_at_temperature,
     gap_at_zero,
-    mb_full_oracle,
     mb_sigma_norm,
-    modified_bessel,
 )
 from .photon import (
     PowerBudget,

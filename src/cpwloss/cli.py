@@ -21,21 +21,21 @@ import numpy as np
 
 from . import __version__
 from .constants import angular_frequency
-from .errors import ConfigError, CpwLossError, FitError, InputError, QuadratureError
+from .errors import ConfigError, CpwLossError, FitError, InputError
 from .impedance import surface_impedance
 from .mbcore import complex_conductivity
 from .photon import build_power_budget, power_for_photons
 from .pipeline.config import AnalysisConfig, load_config
 from .pipeline.dc import extract_tc_rrr
 from .pipeline.forward import synth_sweep
-from .pipeline.io import ingest_rt, ingest_s21, write_s21_csv
+from .pipeline.io import TRACE_SUFFIXES, ingest_rt, ingest_s21, write_s21_csv
 from .pipeline.report import emit_report, to_json
 from .pipeline.sweep import dataset_from_config, sweep_analyze
 from .pipeline.xrd import CU_KALPHA1_ANGSTROM, lattice_constant
 from .resfit import NotchParams, fit_notch, synth_trace
 
 
-def _emit(rows, args, columns=None) -> None:
+def _emit(rows, args) -> None:
     """Print a dict or list of dicts as JSON (default) or CSV."""
     if args.format == "json":
         print(to_json(rows))
@@ -43,7 +43,7 @@ def _emit(rows, args, columns=None) -> None:
     items = rows if isinstance(rows, list) else [rows]
     if not items:
         return
-    cols = columns or list(items[0].keys())
+    cols = list(items[0].keys())
     print(",".join(cols))
     for item in items:
         print(",".join("" if item.get(c) is None else repr(item[c]) for c in cols))
@@ -117,7 +117,8 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(q for q in p.iterdir() if q.is_file()))
+            traces = (q for q in p.iterdir() if q.suffix.lower() in TRACE_SUFFIXES)
+            files.extend(sorted(q for q in traces if q.is_file()))
         elif p.exists():
             files.append(p)
         else:
@@ -333,10 +334,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return ConfigError.exit_code
-    except (FitError, QuadratureError) as exc:
+    except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return FitError.exit_code
-    except (InputError, CpwLossError, ValueError, OSError) as exc:
+    except (CpwLossError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return InputError.exit_code
 

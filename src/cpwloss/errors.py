@@ -1,9 +1,9 @@
 """Exception and warning types shared across the package.
 
 The CLI maps exception classes onto process exit codes via ``exit_code``:
-input/format problems exit 1, fit or quadrature failures exit 2, and
-configuration problems exit 3. Plain ``ValueError`` raised by the physics
-layer (domain errors) is treated like an input problem.
+input/format problems exit 1, fit failures exit 2, and configuration
+problems exit 3. Plain ``ValueError`` raised by the physics layer (domain
+errors) is treated like an input problem.
 """
 
 
@@ -21,12 +21,6 @@ class InputError(CpwLossError):
 
 class FitError(CpwLossError):
     """A fit did not converge or the data does not contain a resonance."""
-
-    exit_code = 2
-
-
-class QuadratureError(CpwLossError):
-    """Numerical quadrature failed to reach the requested tolerance."""
 
     exit_code = 2
 

@@ -28,15 +28,12 @@ class CpwGeometry:
     gap_m: float
     thickness_m: float
     substrate_eps_r: float
-    length_m: float | None = None
 
     def __post_init__(self) -> None:
         if self.center_width_m <= 0 or self.gap_m <= 0 or self.thickness_m <= 0:
             raise ValueError("all CPW lengths must be positive")
         if self.substrate_eps_r < 1:
             raise ValueError("substrate_eps_r must be >= 1")
-        if self.length_m is not None and self.length_m <= 0:
-            raise ValueError("length_m must be positive when given")
 
     @property
     def k0(self) -> float:

@@ -2,9 +2,9 @@
 
 Implements the low-frequency, low-temperature closed forms for the
 normalized conductivity sigma(T) = sigma1(T) - j*sigma2(T) of a
-superconductor in the dirty limit, together with the full thermal-equilibrium
-integrals evaluated by adaptive quadrature (used as an independent
-verification oracle in the test suite).
+superconductor in the dirty limit, evaluated with the scaled Bessel
+functions ``k0e`` and ``i0e``. The quadrature of the full integrals that
+checks these closed forms lives with the tests, in ``tests/oracles.py``.
 
 All functions are pure and thread-safe. Temperatures in K, angular
 frequencies in rad/s, energies in eV.
@@ -17,10 +17,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy.special import i0e, k0e
 
 from .constants import BCS_GAP_RATIO, HBAR_EVS, KB_EV
-from .errors import ApproximationWarning, QuadratureError
+from .errors import ApproximationWarning
 
 GAP_MODELS = ("bcs_tanh", "constant")
 
@@ -65,28 +65,6 @@ def gap_at_temperature(
     return delta0_ev * math.tanh(1.74 * math.sqrt(tc_kelvin / t_kelvin - 1.0))
 
 
-def bessel_k0(x: float) -> float:
-    """Modified Bessel function of the second kind, order zero."""
-    if np.any(np.asarray(x) <= 0):
-        raise ValueError("K0 requires x > 0")
-    return special.k0(x)
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero."""
-    x_arr = np.asarray(x)
-    if np.any(x_arr < 0):
-        raise ValueError("I0 requires x >= 0")
-    if np.any(x_arr > 700.0):
-        raise OverflowError("I0 overflows double precision for x > 700")
-    return special.i0(x)
-
-
-def modified_bessel(x: float) -> tuple[float, float]:
-    """Return (K0(x), I0(x)) for x > 0."""
-    return bessel_k0(x), bessel_i0(x)
-
-
 def _check_regime(hw_ev: float, delta0_ev: float, kt_max_ev: float) -> None:
     if hw_ev >= 2.0 * delta0_ev:
         raise ValueError(
@@ -109,7 +87,7 @@ def _check_regime(hw_ev: float, delta0_ev: float, kt_max_ev: float) -> None:
 
 def _sigma2_deficit(kt, xi, boltz, delta0_ev: float):
     # boltz = exp(-delta0/kT) and xi = hw/2kT, shared with the sigma1 term
-    return np.sqrt(2.0 * np.pi * kt / delta0_ev) * boltz + 2.0 * boltz * special.i0e(xi)
+    return np.sqrt(2.0 * np.pi * kt / delta0_ev) * boltz + 2.0 * boltz * i0e(xi)
 
 
 def mb_sigma2_deficit(t_kelvin, omega_rad: float, delta0_ev: float):
@@ -167,7 +145,7 @@ def mb_sigma_norm(
     boltz = np.exp(-delta0_ev / kt)
     # sinh(xi) * K0(xi) evaluated with scaled Bessels so large xi cannot
     # overflow: sinh(xi)*K0(xi) = 0.5*(1 - exp(-2 xi)) * k0e(xi).
-    sinh_k0 = 0.5 * (1.0 - np.exp(-2.0 * xi)) * special.k0e(xi)
+    sinh_k0 = 0.5 * (1.0 - np.exp(-2.0 * xi)) * k0e(xi)
     sigma1 = (4.0 * delta0_ev / hw) * boltz * sinh_k0
 
     deficit = _sigma2_deficit(kt, xi, boltz, delta0_ev)
@@ -205,9 +183,6 @@ class MaterialParams:
     n0_states: float
     alpha: float
     delta0_ev: float | None = None
-    mean_free_path_m: float | None = None
-    coherence_length_m: float | None = None
-    penetration_depth_m: float | None = None
 
     def __post_init__(self) -> None:
         if self.tc_kelvin <= 0:
@@ -229,20 +204,6 @@ class MaterialParams:
     def sigma_n(self) -> float:
         """Normal-state conductivity, S/m."""
         return sigma_n_from_sheet(self.sheet_resistance_ohm, self.thickness_m)
-
-    @property
-    def dirty_limit(self) -> bool | None:
-        """True iff l << xi and l << lambda (threshold: l below a third of
-        each). None when any of the three lengths is not provided."""
-        lengths = (
-            self.mean_free_path_m,
-            self.coherence_length_m,
-            self.penetration_depth_m,
-        )
-        if any(v is None for v in lengths):
-            return None
-        l_mfp, xi, lam = lengths
-        return l_mfp < xi / 3.0 and l_mfp < lam / 3.0
 
 
 @dataclass(frozen=True)
@@ -293,76 +254,3 @@ def complex_conductivity(
         temperature_k=t_kelvin,
         omega_rad=omega_rad,
     )
-
-
-def _fermi(e_ev: float, kt_ev: float) -> float:
-    # exp(-x)/(1+exp(-x)) form avoids the catastrophic cancellation of
-    # 0.5*(1 - tanh(x/2)) when e >> kT.
-    x = e_ev / kt_ev
-    if x >= 0:
-        em = math.exp(-min(x, 745.0))
-        return em / (1.0 + em)
-    return 1.0 / (1.0 + math.exp(x))
-
-
-def mb_full_oracle(
-    t_kelvin: float,
-    omega_rad: float,
-    delta0_ev: float,
-    rtol: float = 1e-8,
-) -> tuple[float, float]:
-    """Full thermal-equilibrium conductivity integrals, by adaptive quadrature.
-
-    Independent of the closed forms in :func:`mb_sigma_norm`; intended for
-    verification in tests, not for production sweeps. The gap is held at
-    ``delta0_ev``. Integrable square-root edge singularities are removed by
-    substitution (E = delta + u^2 for sigma1, E = delta - hw*cos^2(theta)
-    for sigma2) before quadrature.
-    """
-    if t_kelvin <= 0:
-        raise ValueError("temperature must be positive")
-    kt = KB_EV * t_kelvin
-    hw = HBAR_EVS * omega_rad
-    d = delta0_ev
-    if hw <= 0 or d <= 0:
-        raise ValueError("omega and delta0 must be positive")
-    if hw >= 2.0 * d:
-        raise ValueError("hbar*omega >= 2*delta0: outside the sub-gap regime")
-    # imported here, its only use, so the CLI does not load it at start-up
-    from scipy import integrate
-
-    def integrand1(u: float) -> float:
-        e = d + u * u
-        num = e * e + d * d + hw * e
-        den = math.sqrt(e + d) * math.sqrt((e + hw) ** 2 - d * d)
-        return 2.0 * (_fermi(e, kt) - _fermi(e + hw, kt)) * num / den
-
-    def integrand2(th: float) -> float:
-        c = math.cos(th)
-        e = d - hw * c * c
-        num = e * e + d * d + hw * e
-        den = math.sqrt(d + e) * math.sqrt(e + hw + d)
-        return 2.0 * (1.0 - 2.0 * _fermi(e + hw, kt)) * num / den
-
-    u_max = math.sqrt(60.0 * kt + 5.0 * hw)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val1, err1 = integrate.quad(
-                integrand1, 0.0, u_max, epsabs=0.0, epsrel=rtol * 1e-2, limit=200
-            )
-            val2, err2 = integrate.quad(
-                integrand2, 0.0, math.pi / 2.0, epsabs=0.0, epsrel=rtol * 1e-2, limit=200
-            )
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(
-                f"conductivity quadrature did not converge at "
-                f"T={t_kelvin} K, omega={omega_rad} rad/s: {exc}"
-            ) from exc
-    for name, val, err in (("sigma1", val1, err1), ("sigma2", val2, err2)):
-        if val != 0.0 and err / abs(val) > rtol:
-            raise QuadratureError(
-                f"{name} quadrature error {err:.3e} exceeds rtol*|value| "
-                f"({rtol:.1e} * {abs(val):.3e}) at T={t_kelvin} K"
-            )
-    return (2.0 / hw) * val1, val2 / hw

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constants import HBAR_EVS, KB_EV, angular_frequency
+from ..errors import ConfigError
 from ..impedance import (
     CpwGeometry,
     SurfaceImpedance,
@@ -120,8 +121,6 @@ def synth_sweep(config: AnalysisConfig) -> list[S21Trace]:
     config.require("material", "geometry", "tls")
     run = config.run
     if run.frequency_hz is None or run.temperatures is None or run.qc_mag is None:
-        from ..errors import ConfigError
-
         raise ConfigError(
             "synth sweep needs run.frequency_hz, run.temperatures and run.qc_mag"
         )
@@ -182,56 +181,43 @@ def tls_f_delta0_for_q(
 
 
 def calibrate_sweep_config(
-    f0_hz: float = 5.95e9,
-    qi_cold: float = 1.0e5,
-    t_cold: float = 0.12,
-    qi_hot: float = 7.421e3,
-    t_hot: float = 2.9,
-    tc_kelvin: float = 10.7,
-    sheet_resistance_ohm: float = 159.5,
-    thickness_m: float = 100e-9,
-    n0_states: float = 1.86e28,
-    center_width_m: float = 4e-6,
-    gap_m: float = 2e-6,
-    substrate_eps_r: float = 11.7,
-    n_c: float = 10.0,
-    beta_exp: float = 0.5,
-    n_photon: float = 1.0,
     temperatures=None,
-    qc_mag: float = 1.0e5,
     noise_sigma: float = 1e-3,
     npoints: int = 1001,
-    span_linewidths: float = 10.0,
     seed: int = 0,
-    excess_loss: float = 0.0,
+    qi_hot: float = 7.421e3,
 ) -> dict:
     """Build a fully calibrated config document for a reference-style sweep.
 
-    The TLS strength is pinned so Qi(t_cold) = qi_cold (where quasiparticle
+    The device is the reference film and CPW at 5.95 GHz and one photon.
+    The TLS strength is pinned so Qi(0.12 K) = 1e5 (where quasiparticle
     loss is negligible) and the geometry factor so the combined chain gives
-    Qi(t_hot) = qi_hot. The kinetic-inductance fraction alpha used for
+    Qi(2.9 K) = qi_hot. The kinetic-inductance fraction alpha used for
     density conversion is taken from the calibrated chain at the cold end.
     The sigma2 prefactor is ``pi``: with the 4/pi-inflated variant the
     quasiparticle channel cannot reach the warm-anchor loss within the
     physical range alpha <= 1.
     """
+    f0_hz, qi_cold, t_cold, t_hot = 5.95e9, 1.0e5, 0.12, 2.9
+    n_c, beta_exp, n_photon = 10.0, 0.5, 1.0
+    material_doc = {
+        "tc_kelvin": 10.7,
+        "sheet_resistance_ohm": 159.5,
+        "thickness_m": 100e-9,
+        "n0_states": 1.86e28,
+    }
+    geometry_doc = {
+        "center_width_m": 4e-6,
+        "gap_m": 2e-6,
+        "thickness_m": 100e-9,
+        "substrate_eps_r": 11.7,
+    }
     sigma2_prefactor = "pi"
     f_delta0 = tls_f_delta0_for_q(qi_cold, t_cold, f0_hz, n_c, beta_exp, n_photon)
     tls = TlsSettings(f_delta0=f_delta0, n_c=n_c, beta_exp=beta_exp)
 
-    material_probe = MaterialParams(
-        tc_kelvin=tc_kelvin,
-        sheet_resistance_ohm=sheet_resistance_ohm,
-        thickness_m=thickness_m,
-        n0_states=n0_states,
-        alpha=1.0,
-    )
-    geometry = CpwGeometry(
-        center_width_m=center_width_m,
-        gap_m=gap_m,
-        thickness_m=thickness_m,
-        substrate_eps_r=substrate_eps_r,
-    )
+    material_probe = MaterialParams(**material_doc, alpha=1.0)
+    geometry = CpwGeometry(**geometry_doc)
     omega0 = angular_frequency(f0_hz)
     tls_hot_loss = 1.0 / q_tls(t_hot, n_photon, tls.tls_params(omega0))
     target_delta = 1.0 / qi_hot - tls_hot_loss
@@ -254,21 +240,10 @@ def calibrate_sweep_config(
     alpha = float(kinetic_fraction(zs, lg, g)[0])
 
     if temperatures is None:
-        temperatures = [round(v, 4) for v in np.linspace(0.12, 2.9, 30)]
+        temperatures = [round(v, 4) for v in np.linspace(t_cold, t_hot, 30)]
     return {
-        "material": {
-            "tc_kelvin": tc_kelvin,
-            "sheet_resistance_ohm": sheet_resistance_ohm,
-            "thickness_m": thickness_m,
-            "n0_states": n0_states,
-            "alpha": alpha,
-        },
-        "geometry": {
-            "center_width_m": center_width_m,
-            "gap_m": gap_m,
-            "thickness_m": thickness_m,
-            "substrate_eps_r": substrate_eps_r,
-        },
+        "material": {**material_doc, "alpha": alpha},
+        "geometry": geometry_doc,
         "tls": {"f_delta0": f_delta0, "n_c": n_c, "beta_exp": beta_exp},
         "fit": {
             "sigma2_prefactor": sigma2_prefactor,
@@ -280,11 +255,11 @@ def calibrate_sweep_config(
             "frequency_hz": f0_hz,
             "seed": seed,
             "temperatures": list(temperatures),
-            "qc_mag": qc_mag,
+            "qc_mag": 1.0e5,
             "noise_sigma": noise_sigma,
             "npoints": npoints,
-            "span_linewidths": span_linewidths,
-            "excess_loss": excess_loss,
+            "span_linewidths": 10.0,
+            "excess_loss": 0.0,
         },
     }
 

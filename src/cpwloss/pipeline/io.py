@@ -13,12 +13,14 @@ Supported inputs:
 
 Data rows are parsed with numpy's number syntax (``1e9``, ``-0.5``,
 ``.25``); forms that only Python's ``float`` accepts, such as ``1_000``,
-are input errors. Malformed rows, including non-finite numbers, raise
-:class:`InputError` with a 1-based line number.
+are input errors. Malformed rows, including non-finite numbers, and
+metadata tags whose value is not a finite number raise :class:`InputError`
+with a 1-based line number.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from pathlib import Path
 
@@ -36,6 +38,9 @@ _RT_HEADERS = {"temperature_k,resistance_ohm": "rt"}
 
 _META_KEYS = {"temperature_k": "temperature_k", "power_dbm": "power_dbm"}
 
+# trace format by file suffix: ingest_s21's auto-detection, and sweep directories
+TRACE_SUFFIXES = {".csv": "csv", ".s2p": "touchstone", ".snp": "touchstone"}
+
 
 def _read_text(p: Path) -> str:
     try:
@@ -44,7 +49,7 @@ def _read_text(p: Path) -> str:
         raise InputError(f"cannot read {p}: {exc}") from exc
 
 
-def _parse_meta_comment(line: str, meta: dict) -> None:
+def _parse_meta_comment(line: str, meta: dict, path, lineno: int) -> None:
     body = line.lstrip("#!").strip()
     if "=" not in body:
         return
@@ -52,9 +57,12 @@ def _parse_meta_comment(line: str, meta: dict) -> None:
     key_norm = key.strip().lower()
     if key_norm in _META_KEYS:
         try:
-            meta[_META_KEYS[key_norm]] = float(value.strip())
+            number = float(value.strip())
         except ValueError:
-            raise InputError(f"bad metadata value in comment: {line.strip()!r}")
+            number = math.nan
+        if not math.isfinite(number):
+            raise InputError(f"{path}:{lineno}: bad metadata value {line.strip()!r}")
+        meta[_META_KEYS[key_norm]] = number
 
 
 def _numbers(lines: list[str], ncols: int, delimiter: str | None) -> np.ndarray:
@@ -106,7 +114,7 @@ def _csv_table(text: str, path, headers: dict, kind: str, meta: dict | None):
             continue
         if line.startswith("#"):
             if meta is not None:
-                _parse_meta_comment(line, meta)
+                _parse_meta_comment(line, meta, path, lineno)
             continue
         if mode is None:
             header = ",".join(tok.strip().lower() for tok in line.split(","))
@@ -173,7 +181,7 @@ def _parse_touchstone(text: str, path) -> S21Trace:
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.lstrip().startswith("!"):
-            _parse_meta_comment(raw.strip(), meta)
+            _parse_meta_comment(raw.strip(), meta, path, lineno)
             continue
         line = raw.split("!", 1)[0].strip()
         if not line:
@@ -201,14 +209,15 @@ def ingest_s21(path: str | Path, fmt: str = "auto") -> S21Trace:
 
     Args:
         path: input file.
-        fmt: "csv", "touchstone", or "auto" (by file extension).
+        fmt: "csv", "touchstone", or "auto" (by ``TRACE_SUFFIXES``; any
+            other suffix reads as CSV).
 
     Returns:
         The validated trace.
     """
     p = Path(path)
     if fmt == "auto":
-        fmt = "touchstone" if p.suffix.lower() in (".s2p", ".snp") else "csv"
+        fmt = TRACE_SUFFIXES.get(p.suffix.lower(), "csv")
     if fmt not in ("csv", "touchstone"):
         raise InputError(f"unknown trace format {fmt!r}")
     text = _read_text(p)

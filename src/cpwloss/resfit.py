@@ -170,19 +170,19 @@ def _phase_slope(f: np.ndarray, z: np.ndarray) -> tuple[float, float]:
     return slope, var
 
 
-def estimate_delay(trace: S21Trace, wing_fraction: float = 0.2) -> DelayEstimate:
+def estimate_delay(trace: S21Trace) -> DelayEstimate:
     """Cable delay from the phase slope of the off-resonant wings.
 
-    Fits a line to the unwrapped phase on the outer ``wing_fraction`` of the
-    points (half per side) and returns tau = -slope/(2 pi). The returned
-    standard error is the weighted-fit error; on resonance-free or noisy
-    data it can exceed the estimate itself, which callers should treat as
-    "no usable delay information".
+    Fits a line to the unwrapped phase on the outer 20% of the points (half
+    per side) and returns tau = -slope/(2 pi). The returned standard error
+    is the weighted-fit error; on resonance-free or noisy data it can exceed
+    the estimate itself, which callers should treat as "no usable delay
+    information".
     """
     n = len(trace)
     if n < 16:
         raise FitError("delay estimation needs at least 16 points")
-    k = max(3, int(round(0.5 * wing_fraction * n)))
+    k = max(3, int(round(0.1 * n)))
     f, z = trace.freq_hz, trace.s21
     slopes, variances = [], []
     for sl in (slice(0, k), slice(n - k, n)):
@@ -331,11 +331,21 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
     if n < 16:
         raise FitError("notch fit needs at least 16 points")
 
+    # the fit runs on the trace divided by the power of two nearest its
+    # median magnitude: the division is exact, so the result does not depend
+    # on the trace's overall scale, and the circle fit's squared magnitudes
+    # stay within double range
+    mag = np.abs(z)
+    med = float(np.median(mag))
+    if not (med > 0.0 and mag.max() < 2.0**1000 * med):
+        raise FitError("no resonance found (zero baseline or range beyond 2**1000)")
+    scale = 2.0 ** round(math.log2(med))
+    z = z / scale
+    trace = S21Trace(f, z)
+
     # dip-depth precheck against the wing noise floor
     mag = np.abs(z)
     med = float(np.median(mag))
-    if med <= 0:
-        raise FitError("no resonance found (zero baseline)")
     k = max(3, n // 10)
     wing_mag = np.concatenate([mag[:k], mag[-k:]])
     noise_rel = float(np.std(np.diff(wing_mag))) / math.sqrt(2.0) / med
@@ -394,7 +404,7 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
         ql=float(ql),
         qc_mag=float(qc),
         phi_rad=float(phi),
-        amp=float(amp),
+        amp=float(amp) * scale,
         phase0_rad=float(ph0),
         tau_s=float(tau),
     )
@@ -416,6 +426,7 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
         cov = s2 * np.linalg.pinv(jtj)
     perr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     stderr = dict(zip(PARAM_NAMES, (float(e) for e in perr)))
+    stderr["amp"] *= scale
     # phase0 = phase_c + 2 pi f_center tau: propagate the pair's covariance
     lever = 2.0 * math.pi * f_center
     var_ph0 = cov[5, 5] + lever * lever * cov[6, 6] + 2.0 * lever * cov[5, 6]
@@ -435,12 +446,11 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
     else:
         stderr["qi"] = math.inf
 
-    rms = math.sqrt(ssr / m)
     return NotchFitResult(
         params=params,
         qi=qi,
         stderr=stderr,
-        rms_residual=rms,
+        rms_residual=math.sqrt(ssr / m) * scale,
         n_points=n,
         flags=flags,
     )

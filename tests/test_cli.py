@@ -1,4 +1,9 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +205,27 @@ class TestSweepCommand:
         assert doc["provenance"]["config_sha256"]
         assert all(i["sha256"] for i in doc["provenance"]["inputs"])
 
+    def test_directory_takes_only_trace_files(self, capsys, tmp_path, sweep_setup):
+        # a config, a README and a .dat trace beside the .csv traces; the
+        # .dat trace is read only when named explicitly
+        cfg_path, traces_dir = sweep_setup
+        mixed = tmp_path / "mixed"
+        shutil.copytree(traces_dir, mixed)
+        shutil.copy(cfg_path, mixed / "config.json")
+        (mixed / "README").write_text("six traces\n")
+        first = sorted(mixed.glob("*.csv"))[0]
+        explicit = first.rename(first.with_suffix(".dat"))
+        out = tmp_path / "out"
+        rc, _, err = run_cli(
+            capsys, "sweep", str(mixed), str(explicit), "--config", str(cfg_path),
+            "--out", str(out),
+        )
+        assert rc == 0, err
+        inputs = json.loads((out / "report.json").read_text())["provenance"]["inputs"]
+        names = sorted(Path(i["path"]).name for i in inputs)
+        traces = [q.name for q in mixed.iterdir() if q.suffix in (".csv", ".dat")]
+        assert names == sorted(traces) and len(names) == 6
+
     def test_synth_sweep_command(self, capsys, tmp_path, sweep_setup):
         cfg_path, _ = sweep_setup
         out_dir = tmp_path / "synth_sweep"
@@ -209,3 +235,23 @@ class TestSweepCommand:
         )
         assert rc == 0
         assert len(list(out_dir.glob("*.csv"))) == 6
+
+
+def test_import_path_holds_no_test_only_code():
+    # the quadrature oracle and the removed wrappers live in tests/oracles.py
+    # or nowhere; importing the package and its CLI must not reach them
+    probe = (
+        "import sys, cpwloss, cpwloss.cli, cpwloss.errors, cpwloss.mbcore\n"
+        "names = ('mb_full_oracle', '_fermi', 'bessel_k0', 'bessel_i0',\n"
+        "         'modified_bessel', 'QuadratureError', 'dirty_limit')\n"
+        "mods = (cpwloss, cpwloss.mbcore, cpwloss.errors)\n"
+        "print(int('scipy.integrate' in sys.modules))\n"
+        "print(sorted(n for m in mods for n in names if hasattr(m, n)))\n"
+        "print(hasattr(cpwloss.mbcore.MaterialParams, 'dirty_limit'))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    ).stdout.splitlines()
+    assert out == ["0", "[]", "False"]

@@ -171,6 +171,23 @@ def test_db_overflow_is_input_error(tmp_path, name, text):
         ingest_s21(p)
 
 
+@pytest.mark.parametrize(
+    "name, text, lineno",
+    [
+        ("t.csv", "# note\n# temperature_K=nan\nfreq_hz,s21_re,s21_im\n", 2),
+        ("t.csv", "# power_dbm=-inf\nfreq_hz,s21_re,s21_im\n", 1),
+        ("t.s2p", "! x\n! temperature_K=inf\n# HZ S RI R 50\n", 2),
+        ("t.s2p", "# HZ S RI R 50\n! power_dbm = NaN\n", 2),
+    ],
+)
+def test_non_finite_metadata_tag_is_input_error(tmp_path, name, text, lineno):
+    row = "{},1,0\n" if name.endswith(".csv") else "{} 0 0 1 0 0 0 1 0\n"
+    p = tmp_path / name
+    p.write_text(text + row.format("5e9") + row.format("5.1e9"))
+    with pytest.raises(InputError, match=f":{lineno}: bad metadata"):
+        ingest_s21(p)
+
+
 FUZZ = settings(
     max_examples=40,
     deadline=None,
@@ -363,10 +380,18 @@ class TestConfig:
             cfgmod.config_from_dict(doc)
 
     def test_unknown_key_rejected(self):
-        doc = self.good_doc()
-        doc["material"]["alpah"] = 0.5
-        with pytest.raises(ConfigError, match="alpah"):
-            cfgmod.config_from_dict(doc)
+        # a typo, and the keys that no computation read and that were removed
+        for section, key in [
+            ("material", "alpah"),
+            ("material", "mean_free_path_m"),
+            ("material", "coherence_length_m"),
+            ("material", "penetration_depth_m"),
+            ("geometry", "length_m"),
+        ]:
+            doc = self.good_doc()
+            doc[section][key] = 0.5
+            with pytest.raises(ConfigError, match=key):
+                cfgmod.config_from_dict(doc)
 
     def test_bad_enum_rejected(self):
         doc = self.good_doc()

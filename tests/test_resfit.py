@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +264,72 @@ class TestFitNotch:
         assert loud.stderr["qi"] > 10 * quiet.stderr["qi"]
         assert quiet.rms_residual == pytest.approx(1e-4, rel=0.1)
 
+
+    @pytest.mark.parametrize("j", [-900, -300, -7, 1, 300, 900])
+    def test_power_of_two_scale_is_exact(self, operating_point, j):
+        f = default_grid(operating_point, n=801)
+        tr = resfit.synth_trace(operating_point, f, 1e-3, seed=4)
+        base = resfit.fit_notch(tr)
+        scaled = resfit.fit_notch(resfit.S21Trace(f, tr.s21 * 2.0**j))
+        assert scaled.qi == base.qi
+        assert scaled.params.fr_hz == base.params.fr_hz
+        assert scaled.params.amp == base.params.amp * 2.0**j
+        assert scaled.stderr["amp"] == base.stderr["amp"] * 2.0**j
+        assert scaled.rms_residual == base.rms_residual * 2.0**j
+
+    def test_zero_baseline_and_unbounded_range_rejected(self):
+        f = np.linspace(5.9e9, 6.0e9, 64)
+        zero = np.zeros(64, complex)
+        zero[::4] = 1.0
+        spread = np.full(64, 1e-300 + 0j)
+        spread[10] = 1e10  # beyond 2**1024 once divided by the median's scale
+        for z in (zero, spread):
+            with pytest.raises(FitError, match="no resonance"):
+                resfit.fit_notch(resfit.S21Trace(f, z))
+
+
+FIT_FUZZ_KINDS = ("flat", "noise", "edge_dip", "short", "extreme_tau")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(FIT_FUZZ_KINDS),
+    decade=st.sampled_from([-12.0, 0.0, 12.0]) | st.floats(-300.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fuzz_fit_returns_result_or_fit_error(kind, decade, seed):
+    """Degenerate and edge traces end in a fit or a FitError, never in
+    another exception or a warning."""
+    rng = np.random.default_rng(seed)
+    p = resfit.NotchParams(
+        fr_hz=5.95e9,
+        ql=10 ** rng.uniform(3, 6),
+        qc_mag=10 ** rng.uniform(3, 6),
+        phi_rad=rng.uniform(-1.5, 1.5),
+        phase0_rad=rng.uniform(-math.pi, math.pi),
+        tau_s=rng.uniform(0.0, 100e-9),
+    )
+    n = 16 if kind == "short" else int(rng.integers(16, 802))
+    f = default_grid(p, span_linewidths=rng.uniform(2.0, 40.0), n=n)
+    if kind == "edge_dip":
+        edge = f[0] if rng.random() < 0.5 else f[-1]
+        p = dataclasses.replace(p, fr_hz=edge + rng.uniform(-2, 2) * p.fr_hz / p.ql)
+    elif kind == "extreme_tau":
+        tau = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-6, -3)
+        p = dataclasses.replace(p, tau_s=tau)
+    if kind == "flat":
+        z = np.exp(1j * (p.phase0_rad - 2 * np.pi * f * p.tau_s))
+    elif kind == "noise":
+        z = np.zeros(n, complex)
+    else:
+        z = resfit.model_s21(p, f)
+    noise = 1.0 if kind == "noise" else rng.choice([0.0, 10 ** rng.uniform(-6, -1)])
+    z = z + noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    trace = resfit.S21Trace(f, z * 10**decade)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = resfit.fit_notch(trace)
+        except FitError:
+            return
+    assert isinstance(result, resfit.NotchFitResult)
