@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -330,6 +331,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every float option maps to a flag named after its dest
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                flag = "--" + dest.replace("_", "-")
+                raise InputError(f"{flag} must be a finite number, got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,8 +16,14 @@ from .constants import HBAR_JS
 
 
 def dbm_to_watt(p_dbm: float) -> float:
-    """P[W] = 10^((dBm - 30)/10)."""
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    """P[W] = 10^((dBm - 30)/10); ValueError when that is not a finite float."""
+    try:
+        p_w = 10.0 ** ((p_dbm - 30.0) / 10.0)
+    except OverflowError:
+        p_w = math.inf
+    if not math.isfinite(p_w):
+        raise ValueError(f"{p_dbm} dBm is not a representable power in W")
+    return p_w
 
 
 def watt_to_dbm(p_w: float) -> float:

@@ -22,14 +22,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError
 
 PARAM_NAMES = ("fr_hz", "ql", "qc_mag", "phi_rad", "amp", "phase0_rad", "tau_s")
 
-# LM iteration budget; least_squares gets MAX_ITER * (n_params + 1) evaluations
+# LM iteration budget: MAX_ITER * (n_params + 1) residual evaluations
 MAX_ITER = 200
+_TOL = 1e-12  # LM stops at this relative cost reduction or step size
 
 
 def _wrap_angle(a: float) -> float:
@@ -266,55 +266,80 @@ def _seed_resonance(
 
 
 def _refine(f, z, p0, x_scale, f_center):
+    """Levenberg-Marquardt fit of all seven parameters from ``p0``: the
+    parameters, the cost 0.5*|r|^2 and the Jacobian there.
+
+    Steps are in ``x_scale`` units, damped by lam*diag(JtJ) with Nielsen's
+    update of lam; a trial point with a non-finite residual is rejected.
+    """
     # The environment phase is referenced to the span center: with the
     # f = 0 convention, phase0 and tau are degenerate through a lever arm
     # of order f/span and LM crawls along the resulting sliver valley.
     # The Jacobian is analytic; finite differences leave enough noise in
-    # the normal equations for MINPACK to stall orders of magnitude above
-    # the attainable residual.
-    def _parts(p):
+    # the normal equations for LM to stall orders of magnitude above the
+    # attainable residual.
+    w = 2.0 * np.pi * (f - f_center)
+    stall = "notch refinement did not converge: "
+
+    def model(p):
+        # residual as interleaved (re, im) pairs, and the parts jac_t reuses
         fr, ql, qc, phi, amp, ph_c, tau = p
-        w = 2.0 * np.pi * (f - f_center)
         env = amp * np.exp(1j * (ph_c - w * tau))
         detune = 1.0 + 2j * ql * (f / fr - 1.0)
-        t_term = (ql / qc) * np.exp(1j * phi) / detune
-        return env, t_term, detune, w
+        notch = env * ((ql / qc) * np.exp(1j * phi)) / detune
+        m = env - notch
+        return (m - z).view(float), (notch, detune, m)
 
-    def resid(p):
-        env, t_term, _, _ = _parts(p)
-        d = env * (1.0 - t_term) - z
-        return np.concatenate([d.real, d.imag])
-
-    def jac(p):
-        fr, ql, qc, phi, amp, ph_c, tau = p
-        env, t_term, detune, w = _parts(p)
-        m = env * (1.0 - t_term)
-        cols = (
-            -env * t_term * 2j * ql * f / (fr * fr * detune),
-            -env * t_term * (1.0 / ql - 2j * (f / fr - 1.0) / detune),
-            env * t_term / qc,
-            -1j * env * t_term,
-            m / amp,
-            1j * m,
-            -1j * w * m,
-        )
-        out = np.empty((2 * f.size, len(cols)))
-        for k, col in enumerate(cols):
-            out[: f.size, k] = col.real
-            out[f.size :, k] = col.imag
+    def jac_t(p, parts):
+        # transposed Jacobian: row k is d(residual)/d(p_k), interleaved alike
+        fr, ql, qc, _, amp, _, _ = p
+        notch, detune, m = parts
+        q = notch / detune
+        rows = np.empty((len(p), f.size), dtype=complex)
+        rows[0] = (-2j * ql / (fr * fr)) * f * q
+        rows[1] = -q / ql
+        rows[2] = notch / qc
+        rows[3] = -1j * notch
+        rows[4] = m / amp
+        rows[5] = 1j * m
+        rows[6] = -1j * w * m
+        out = rows.view(float)
+        if not np.isfinite(out).all():
+            raise FitError(stall + "non-finite Jacobian")
         return out
 
-    return least_squares(
-        resid,
-        p0,
-        jac=jac,
-        method="lm",
-        x_scale=x_scale,
-        ftol=1e-12,
-        xtol=1e-12,
-        gtol=1e-12,
-        max_nfev=MAX_ITER * (len(p0) + 1),
-    )
+    budget = MAX_ITER * (len(p0) + 1)
+    scale2 = np.outer(x_scale, x_scale)
+    with np.errstate(all="ignore"):
+        x, (r, parts) = p0, model(p0)
+        cost, nfev, lam, nu = 0.5 * float(r @ r), 1, 1e-3, 2.0
+        while True:
+            jt = jac_t(x, parts)
+            # normal equations in x_scale units
+            a, g = (jt @ jt.T) * scale2, (jt @ r) * x_scale
+            diag = a.diagonal()
+            while True:
+                try:
+                    step = np.linalg.solve(a + np.diag(lam * diag), -g)
+                except np.linalg.LinAlgError:
+                    raise FitError(stall + "singular normal equations") from None
+                if np.linalg.norm(step) <= _TOL * np.linalg.norm(x / x_scale):
+                    return x, cost, jt.T
+                if nfev >= budget:
+                    raise FitError(stall + f"{budget} evaluations exhausted")
+                x_new = x + step * x_scale
+                r_new, parts_new = model(x_new)
+                cost_new, nfev = 0.5 * float(r_new @ r_new), nfev + 1
+                gain = cost - cost_new
+                if gain > 0.0:  # False for a non-finite trial point
+                    break
+                lam, nu = lam * nu, 2.0 * nu
+            # numpy scalar: a vanishing predicted gain gives inf, not an error
+            rho = gain / (0.5 * (step @ (lam * diag * step - g)))
+            lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+            x, r, parts, cost = x_new, r_new, parts_new, cost_new
+            if gain <= _TOL * (cost + gain):
+                return x, cost, jac_t(x, parts).T
 
 
 def fit_notch(trace: S21Trace) -> NotchFitResult:
@@ -381,11 +406,9 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
     p0 = np.array([fr0, ql0, qc0, phi0, amp0, phase_c0, delay.tau_s])
     tau_scale = max(abs(delay.tau_s), 1.0 / (2.0 * math.pi * (f[-1] - f[0])))
     x_scale = np.array([fr0, ql0, qc0, 1.0, amp0, 1.0, tau_scale])
-    res = _refine(f, z, p0, x_scale, f_center)
-    if res.status <= 0:
-        raise FitError(f"notch refinement did not converge: {res.message}")
+    x, cost, jac = _refine(f, z, p0, x_scale, f_center)
 
-    fr, ql, qc, phi, amp, ph_c, tau = res.x
+    fr, ql, qc, phi, amp, ph_c, tau = x
     ph0 = ph_c + 2.0 * math.pi * f_center * tau
     if amp < 0:
         amp, ph0 = -amp, ph0 + math.pi
@@ -416,10 +439,10 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
         qi = math.inf
 
     m = 2 * n
-    dof = max(m - len(res.x), 1)
-    ssr = 2.0 * res.cost
+    dof = max(m - len(x), 1)
+    ssr = 2.0 * cost
     s2 = ssr / dof
-    jtj = res.jac.T @ res.jac
+    jtj = jac.T @ jac
     try:
         cov = s2 * np.linalg.inv(jtj)
     except np.linalg.LinAlgError:

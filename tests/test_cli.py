@@ -237,21 +237,73 @@ class TestSweepCommand:
         assert len(list(out_dir.glob("*.csv"))) == 6
 
 
+def run_probe(probe: str, *args: str) -> list[str]:
+    """Stdout lines of ``probe`` run by a fresh interpreter on this source tree."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    ).stdout.splitlines()
+
+
 def test_import_path_holds_no_test_only_code():
     # the quadrature oracle and the removed wrappers live in tests/oracles.py
-    # or nowhere; importing the package and its CLI must not reach them
+    # or nowhere, and scipy is a test-only dependency; importing the package
+    # and its CLI must not reach any of them
     probe = (
         "import sys, cpwloss, cpwloss.cli, cpwloss.errors, cpwloss.mbcore\n"
         "names = ('mb_full_oracle', '_fermi', 'bessel_k0', 'bessel_i0',\n"
         "         'modified_bessel', 'QuadratureError', 'dirty_limit')\n"
         "mods = (cpwloss, cpwloss.mbcore, cpwloss.errors)\n"
-        "print(int('scipy.integrate' in sys.modules))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(sorted(n for m in mods for n in names if hasattr(m, n)))\n"
         "print(hasattr(cpwloss.mbcore.MaterialParams, 'dirty_limit'))\n"
     )
-    src = Path(cli.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-    ).stdout.splitlines()
-    assert out == ["0", "[]", "False"]
+    assert run_probe(probe) == ["[]", "[]", "False"]
+
+
+def test_cli_runs_without_scipy(tmp_path, sweep_setup):
+    # an interpreter in which `import scipy` fails runs fit, mb and a sweep
+    cfg_path, traces_dir = sweep_setup
+    traces = [str(t) for t in sorted(traces_dir.iterdir())[:5]]
+    argvs = [
+        ["fit", traces[0]],
+        ["mb", "--config", str(cfg_path), "--points", "50"],
+        ["sweep", *traces, "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+    ]
+    probe = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from cpwloss import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes)\n"
+    )
+    assert run_probe(probe, json.dumps(argvs))[-1] == "[0, 0, 0]"
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
+PHOTON_Q = ("--ql", "7e4", "--qc", "1e5", "--qi", "2.5e5")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("mb", "--freq-hz", "nan"), "--freq-hz"),
+        (("mb", "--tmax", "nan"), "--tmax"),
+        (("mb", "--tmin=-inf"), "--tmin"),
+        (("photon", *PHOTON_Q, "--freq-hz", "nan", "--pin-dbm", "-100"), "--freq-hz"),
+        (("photon", *PHOTON_Q, "--freq-hz", "5.95e9", "--pin-dbm", "1e308"), "dBm"),
+        (("photon", *PHOTON_Q, "--freq-hz", "5.95e9", "--pvna-dbm", "1e400"), "--pvna-dbm"),
+        (("xrd", "--two-theta", "40", "--hkl", "1", "1", "1", "--wavelength", "nan"),
+         "--wavelength"),
+        (("synth", "--noise", "nan"), "--noise"),
+        (("synth", "--span-linewidths", "inf"), "--span-linewidths"),
+    ],
+)
+def test_non_finite_float_option_is_input_error(capsys, tmp_path, sweep_setup, argv, named):
+    cfg_path, _ = sweep_setup
+    argv = (*argv, "--config", str(cfg_path), "--out", str(tmp_path / "trace.csv"))
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert named in err and out == ""
+    assert not (tmp_path / "trace.csv").exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -72,6 +73,21 @@ class TestBessel:
 
     def test_i0_at_zero(self):
         assert mbcore.i0e(0.0) == 1.0
+
+    def test_matches_scipy_in_ulp(self):
+        # same Cephes tables: i0e is bit-identical; k0e's x <= 2 branch may
+        # round differently in exp and log
+        x = np.logspace(-8, 3, 200001)
+
+        def ulps(a, b):  # positive finite doubles order like their bit patterns
+            return np.abs(a.view(np.int64) - b.view(np.int64)).max()
+
+        assert ulps(mbcore.i0e(x), scipy.special.i0e(x)) == 0
+        assert ulps(mbcore.k0e(x), scipy.special.k0e(x)) <= 16
+
+    def test_scalar_input(self):
+        assert float(mbcore.i0e(-2.5)) == float(mbcore.i0e(2.5)) == scipy.special.i0e(2.5)
+        assert float(mbcore.k0e(2.5)) == scipy.special.k0e(2.5)
 
     def test_k0_small_x_log_asymptote(self):
         # K0(x) -> -ln(x/2) - gamma as x -> 0+

@@ -20,6 +20,11 @@ class TestConversions:
         with pytest.raises(ValueError):
             photon.watt_to_dbm(0.0)
 
+    @pytest.mark.parametrize("p_dbm", [3200.0, 1e308, float("inf"), float("nan")])
+    def test_unrepresentable_power_rejected(self, p_dbm):
+        with pytest.raises(ValueError, match="not a representable power"):
+            photon.dbm_to_watt(p_dbm)
+
 
 class TestScattering:
     def test_critical_point(self):

@@ -169,6 +169,31 @@ class TestFitNotch:
         res = resfit.fit_notch(tr)
         assert_recovered(operating_point, res)
         assert res.qi == pytest.approx(2.571e5, rel=1e-3)
+        # noiseless: the refinement converges to the injected point itself
+        for name in ("fr_hz", "ql", "qc_mag"):
+            expect = getattr(operating_point, name)
+            assert getattr(res.params, name) == pytest.approx(expect, rel=1e-9)
+        assert res.qi == pytest.approx(operating_point.qi, rel=1e-9)
+
+    def test_exhausted_budget_is_fit_error(self, operating_point, monkeypatch):
+        monkeypatch.setattr(resfit, "MAX_ITER", 0)
+        tr = resfit.synth_trace(operating_point, default_grid(operating_point), 1e-3)
+        with pytest.raises(FitError, match="notch refinement did not converge: "):
+            resfit.fit_notch(tr)
+
+    def test_refine_rejects_degenerate_starts(self, operating_point):
+        # a vanishing amplitude leaves d(model)/d(amp) = 0/0; an infinite |Qc|
+        # zeroes the resonator columns of the normal equations
+        p = operating_point
+        f = default_grid(p, n=201)
+        z = resfit.model_s21(p, f)
+        start = np.array([p.fr_hz, p.ql, p.qc_mag, p.phi_rad, p.amp, p.phase0_rad, 0.0])
+        cases = (("non-finite Jacobian", 4, 0.0), ("singular normal equations", 2, np.inf))
+        for reason, k, value in cases:
+            p0 = start.copy()
+            p0[k] = value
+            with pytest.raises(FitError, match=reason):
+                resfit._refine(f, z, p0, np.ones(7), f.mean())
 
     def test_round_trip_random_draws(self):
         rng = np.random.default_rng(2024)
