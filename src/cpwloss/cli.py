@@ -5,8 +5,8 @@ sweep (temperature-sweep analysis), photon (power/photon budget),
 synth (synthetic traces and sweeps), dc (Tc/RRR extraction),
 xrd (lattice constant).
 
-Exit codes: 0 success, 1 input/format error, 2 fit/convergence error,
-3 configuration error.
+Exit codes: 0 success, 1 input/format error (a malformed command line
+included), 2 fit/convergence error, 3 configuration error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .pipeline.config import AnalysisConfig, load_config
 from .pipeline.dc import extract_tc_rrr
 from .pipeline.forward import synth_sweep
 from .pipeline.io import TRACE_SUFFIXES, ingest_rt, ingest_s21, write_s21_csv
-from .pipeline.report import emit_report, to_json
+from .pipeline.report import emit_report, fit_record, to_json
 from .pipeline.sweep import dataset_from_config, sweep_analyze
 from .pipeline.xrd import CU_KALPHA1_ANGSTROM, lattice_constant
 from .resfit import NotchParams, fit_notch, synth_trace
@@ -88,23 +88,7 @@ def cmd_mb(args) -> int:
 
 def cmd_fit(args) -> int:
     trace = ingest_s21(args.trace, fmt=args.trace_format)
-    result = fit_notch(trace)
-    p = result.params
-    out = {
-        "source": trace.source,
-        "fr_hz": p.fr_hz,
-        "ql": p.ql,
-        "qc_mag": p.qc_mag,
-        "phi_rad": p.phi_rad,
-        "amp": p.amp,
-        "phase0_rad": p.phase0_rad,
-        "tau_s": p.tau_s,
-        "qi": result.qi,
-        "rms_residual": result.rms_residual,
-        "n_points": result.n_points,
-        "flags": list(result.flags),
-        "stderr": result.stderr,
-    }
+    out = {"source": trace.source, **fit_record(fit_notch(trace))}
     if args.format == "csv":
         flat = {k: v for k, v in out.items() if not isinstance(v, (dict, list))}
         _emit(flat, args)
@@ -166,18 +150,7 @@ def cmd_photon(args) -> int:
     else:
         raise InputError("photon needs --pin-dbm, --pvna-dbm/--att-db or --n-target")
     budget = build_power_budget(p_vna, p_att, args.ql, args.qc, args.qi, args.freq_hz)
-    _emit(
-        {
-            "p_vna_dbm": budget.p_vna_dbm,
-            "p_att_db": budget.p_att_db,
-            "p_in_dbm": budget.p_in_dbm,
-            "s21_mag": budget.s21_mag,
-            "s11_mag": budget.s11_mag,
-            "p_loss_w": budget.p_loss_w,
-            "n_ph": budget.n_ph,
-        },
-        args,
-    )
+    _emit(asdict(budget), args)
     return 0
 
 
@@ -219,17 +192,7 @@ def cmd_synth(args) -> int:
 
 def cmd_dc(args) -> int:
     t, r = ingest_rt(args.rt_file)
-    result = extract_tc_rrr(t, r)
-    _emit(
-        {
-            "tc_kelvin": result.tc_kelvin,
-            "r_sq_tc_ohm": result.r_sq_tc_ohm,
-            "rrr": result.rrr,
-            "t10_kelvin": result.t10_kelvin,
-            "t90_kelvin": result.t90_kelvin,
-        },
-        args,
-    )
+    _emit(asdict(extract_tc_rrr(t, r)), args)
     return 0
 
 
@@ -247,8 +210,17 @@ def cmd_xrd(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, as input errors do;
+    argparse's own 2 is the fit-error code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(InputError.exit_code, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpwloss",
         description="Loss modelling and notch-resonance analysis for "
         "superconducting CPW resonators",

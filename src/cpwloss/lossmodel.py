@@ -123,7 +123,6 @@ class LossBudget:
     loss is always retained in ``delta_qp_measured``.
     """
 
-    temperature_k: float
     q_tls: float
     q_qp_theory: float
     qi_theory: float
@@ -158,7 +157,6 @@ def make_budget(
         * M3_TO_UM3
     )
     return LossBudget(
-        temperature_k=t_kelvin,
         q_tls=q_tls_value,
         q_qp_theory=q_qp,
         qi_theory=qi_th,

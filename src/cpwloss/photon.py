@@ -26,6 +26,14 @@ def dbm_to_watt(p_dbm: float) -> float:
     return p_w
 
 
+def _square(x: float, name: str) -> float:
+    """x**2; ValueError naming the quantity when that is past the float range."""
+    try:
+        return x**2
+    except OverflowError:
+        raise ValueError(f"{name} = {x:g} is too large: its square overflows") from None
+
+
 def watt_to_dbm(p_w: float) -> float:
     """Inverse of :func:`dbm_to_watt`; requires positive power."""
     if p_w <= 0:
@@ -42,8 +50,9 @@ def scattering_mags(ql: float, qc_mag: float) -> tuple[float, float]:
     """
     if ql <= 0 or qc_mag <= 0:
         raise ValueError("ql and qc_mag must be positive")
-    s21 = (qc_mag - ql) ** 2 / qc_mag**2
-    s11 = ql**2 / qc_mag**2
+    qc_sq = _square(qc_mag, "qc_mag")
+    s21 = _square(qc_mag - ql, "qc_mag - ql") / qc_sq
+    s11 = _square(ql, "ql") / qc_sq
     return s21, s11
 
 
@@ -58,7 +67,7 @@ def power_loss(p_in_w: float, s21_mag: float, s11_mag: float) -> float:
         raise ValueError("input power must be >= 0")
     if s21_mag < 0 or s11_mag < 0:
         raise ValueError("scattering magnitudes must be >= 0")
-    frac = 1.0 - s21_mag**2 - s11_mag**2
+    frac = 1.0 - _square(s21_mag, "|S21|") - _square(s11_mag, "|S11|")
     if frac < 0:
         raise ValueError(
             f"|S21|^2 + |S11|^2 = {s21_mag**2 + s11_mag**2:.6f} > 1: "
@@ -73,8 +82,8 @@ def photon_number(qi: float, p_loss_w: float, f_hz: float) -> float:
         raise ValueError("qi and f_hz must be positive")
     if p_loss_w < 0:
         raise ValueError("dissipated power must be >= 0")
-    omega = 2.0 * math.pi * f_hz
-    return qi * p_loss_w / (HBAR_JS * omega**2)
+    omega_sq = _square(2.0 * math.pi * f_hz, "omega")
+    return qi * p_loss_w / (HBAR_JS * omega_sq)
 
 
 def power_for_photons(
@@ -87,11 +96,11 @@ def power_for_photons(
     if n_target <= 0:
         raise ValueError("photon target must be positive")
     s21, s11 = scattering_mags(ql, qc_mag)
-    frac = 1.0 - s21**2 - s11**2
+    frac = 1.0 - _square(s21, "|S21|") - _square(s11, "|S11|")
     if frac <= 0:
         raise ValueError("zero or negative loss fraction: power is undefined")
-    omega = 2.0 * math.pi * f_hz
-    p_in_w = n_target * HBAR_JS * omega**2 / (qi * frac)
+    omega_sq = _square(2.0 * math.pi * f_hz, "omega")
+    p_in_w = n_target * HBAR_JS * omega_sq / (qi * frac)
     return watt_to_dbm(p_in_w)
 
 
@@ -102,9 +111,9 @@ class PowerBudget:
     p_vna_dbm: float
     p_att_db: float
     p_in_dbm: float
-    p_loss_w: float
     s21_mag: float
     s11_mag: float
+    p_loss_w: float
     n_ph: float
 
     def __post_init__(self) -> None:
@@ -135,8 +144,8 @@ def build_power_budget(
         p_vna_dbm=p_vna_dbm,
         p_att_db=p_att_db,
         p_in_dbm=p_in_dbm,
-        p_loss_w=p_loss,
         s21_mag=s21,
         s11_mag=s11,
+        p_loss_w=p_loss,
         n_ph=n_ph,
     )

@@ -40,17 +40,13 @@ class FitSettings:
     """Model and analysis options.
 
     ``geom_factor_per_m`` converts per-square surface impedance to a
-    per-length line quantity; None selects the default 1/w. The red-shift
-    onset threshold is max(redshift_nsigma * stderr(fr),
-    redshift_rel_floor * max red shift); both knobs are overridable.
+    per-length line quantity; None selects the default 1/w.
     """
 
     sigma2_prefactor: str = "four"
     gap_model: str = "bcs_tanh"
     n_photon: float = 1.0
     geom_factor_per_m: float | None = None
-    redshift_nsigma: float = 3.0
-    redshift_rel_floor: float = 0.01
     t_ref_kelvin: float | None = None
 
     def __post_init__(self) -> None:

@@ -1,54 +1,60 @@
 """Deterministic report emission: report.json plus plot-ready CSV tables.
 
+This module is the one place that knows the output layout: the fit block
+(shared with ``cpwloss fit``), the per-temperature entries of report.json,
+and the CSV columns, each of which is a field of those entries.
+
 Identical analyses produce byte-identical files: floats are serialized via
-their shortest round-trip repr, key order is fixed, NaN/inf map to null,
-and entries are sorted by temperature. CSV schemas are versioned in the
-report's provenance block.
+their shortest round-trip repr, key order is fixed, NaN/inf map to null
+(an empty CSV cell), and entries are sorted by temperature. CSV schemas
+are versioned in the report's provenance block.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from operator import attrgetter
+from dataclasses import asdict
 from pathlib import Path
 
+from ..resfit import NotchFitResult
 from .sweep import AnalysisReport, TemperatureEntry
 
 SCHEMA_VERSION = 1
 
-_TEMPERATURE = ("temperature_K", attrgetter("temperature_k"))
+_TEMPERATURE = ("temperature_K", "temperature_k")
 
-# one (header, value-of-entry) pair per column: the CSV header rows and the
-# provenance schemas both come from this table
+# one (header, dotted path into a report.json per_temperature entry) pair
+# per column: the CSV header rows, the CSV cells and the provenance schemas
+# all come from this table
 _CSV_COLUMNS = {
     "qi_vs_T.csv": (
         _TEMPERATURE,
-        ("qi_measured", attrgetter("fit.qi")),
-        ("qi_stderr", lambda e: e.fit.stderr.get("qi")),
-        ("qi_theory", attrgetter("budget.qi_theory")),
-        ("q_tls", attrgetter("budget.q_tls")),
-        ("q_qp_theory", attrgetter("budget.q_qp_theory")),
+        ("qi_measured", "fit.qi"),
+        ("qi_stderr", "fit.stderr.qi"),
+        ("qi_theory", "budget.qi_theory"),
+        ("q_tls", "budget.q_tls"),
+        ("q_qp_theory", "budget.q_qp_theory"),
     ),
     "df_vs_T.csv": (
         _TEMPERATURE,
-        ("fr_hz", attrgetter("fit.params.fr_hz")),
-        ("fr_stderr_hz", lambda e: e.fit.stderr.get("fr_hz")),
-        ("delta_f_hz", attrgetter("delta_f_hz")),
+        ("fr_hz", "fit.fr_hz"),
+        ("fr_stderr_hz", "fit.stderr.fr_hz"),
+        ("delta_f_hz", "delta_f_hz"),
     ),
     "sigma_vs_T.csv": (
         _TEMPERATURE,
-        ("sigma1_norm", attrgetter("sigma1_norm")),
-        ("sigma2_norm", attrgetter("sigma2_norm")),
-        ("sigma1_s_per_m", attrgetter("sigma1_s_per_m")),
-        ("sigma2_s_per_m", attrgetter("sigma2_s_per_m")),
+        ("sigma1_norm", "sigma.sigma1_norm"),
+        ("sigma2_norm", "sigma.sigma2_norm"),
+        ("sigma1_s_per_m", "sigma.sigma1_s_per_m"),
+        ("sigma2_s_per_m", "sigma.sigma2_s_per_m"),
     ),
     "nqp_vs_T.csv": (
         _TEMPERATURE,
-        ("nqp_measured_per_um3", attrgetter("budget.nqp_measured_per_um3")),
-        ("nqp_theory_per_um3", attrgetter("budget.nqp_theory_per_um3")),
-        ("delta_qp_measured", attrgetter("budget.delta_qp_measured")),
-        ("negative_loss", attrgetter("budget.negative_loss")),
+        ("nqp_measured_per_um3", "budget.nqp_measured_per_um3"),
+        ("nqp_theory_per_um3", "budget.nqp_theory_per_um3"),
+        ("delta_qp_measured", "budget.delta_qp_measured"),
+        ("negative_loss", "budget.negative_loss"),
     ),
 }
 
@@ -58,17 +64,10 @@ CSV_SCHEMAS = {
 }
 
 
-def _num(value):
-    """JSON-safe number: finite floats pass through, NaN/inf become null."""
-    if value is None:
-        return None
-    v = float(value)
-    return v if math.isfinite(v) else None
-
-
 def _finite(obj):
+    """Copy of a JSON tree with every NaN/inf float replaced by None."""
     if isinstance(obj, float):
-        return _num(obj)
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _finite(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -86,81 +85,65 @@ def to_json(obj) -> str:
         return json.dumps(_finite(obj), indent=2, allow_nan=False)
 
 
-def _entry_to_dict(e: TemperatureEntry) -> dict:
-    p = e.fit.params
+def fit_record(result: NotchFitResult) -> dict:
+    """The fit block of report.json and of ``cpwloss fit``."""
     return {
-        "temperature_k": _num(e.temperature_k),
+        **asdict(result.params),
+        "qi": result.qi,
+        "stderr": dict(sorted(result.stderr.items())),
+        "rms_residual": result.rms_residual,
+        "n_points": result.n_points,
+        "flags": list(result.flags),
+    }
+
+
+def _entry_to_dict(e: TemperatureEntry) -> dict:
+    return {
+        "temperature_k": e.temperature_k,
         "source": e.source,
-        "fit": {
-            "fr_hz": _num(p.fr_hz),
-            "ql": _num(p.ql),
-            "qc_mag": _num(p.qc_mag),
-            "phi_rad": _num(p.phi_rad),
-            "amp": _num(p.amp),
-            "phase0_rad": _num(p.phase0_rad),
-            "tau_s": _num(p.tau_s),
-            "qi": _num(e.fit.qi),
-            "stderr": {k: _num(v) for k, v in sorted(e.fit.stderr.items())},
-            "rms_residual": _num(e.fit.rms_residual),
-            "n_points": e.fit.n_points,
-            "flags": list(e.fit.flags),
-        },
-        "delta_f_hz": _num(e.delta_f_hz),
-        "budget": {
-            "q_tls": _num(e.budget.q_tls),
-            "q_qp_theory": _num(e.budget.q_qp_theory),
-            "qi_theory": _num(e.budget.qi_theory),
-            "qi_measured": _num(e.budget.qi_measured),
-            "delta_qp_measured": _num(e.budget.delta_qp_measured),
-            "nqp_measured_per_um3": _num(e.budget.nqp_measured_per_um3),
-            "nqp_theory_per_um3": _num(e.budget.nqp_theory_per_um3),
-            "negative_loss": e.budget.negative_loss,
-        },
-        "delta_qp_theory": _num(e.delta_qp_theory),
-        "excess_loss": _num(e.excess_loss),
+        "fit": fit_record(e.fit),
+        "delta_f_hz": e.delta_f_hz,
+        "budget": asdict(e.budget),
+        "delta_qp_theory": e.delta_qp_theory,
+        "excess_loss": e.excess_loss,
         "excess_negative": e.excess_negative,
         "sigma": {
-            "sigma1_norm": _num(e.sigma1_norm),
-            "sigma2_norm": _num(e.sigma2_norm),
-            "sigma1_s_per_m": _num(e.sigma1_s_per_m),
-            "sigma2_s_per_m": _num(e.sigma2_s_per_m),
+            "sigma1_norm": e.sigma1_norm,
+            "sigma2_norm": e.sigma2_norm,
+            "sigma1_s_per_m": e.sigma1_s_per_m,
+            "sigma2_s_per_m": e.sigma2_s_per_m,
         },
     }
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    return {
+    """The report.json document, with every NaN/inf already null."""
+    return _finite({
         "schema_version": SCHEMA_VERSION,
         "provenance": {
             **report.provenance,
             "csv_schemas": dict(sorted(CSV_SCHEMAS.items())),
         },
-        "derived": {k: (_num(v) if isinstance(v, float) else v)
-                    for k, v in report.derived.items()},
+        "derived": report.derived,
         "per_temperature": [_entry_to_dict(e) for e in report.entries],
-        "failures": [
-            {
-                "source": f.source,
-                "temperature_k": _num(f.temperature_k),
-                "error": f.error,
-            }
-            for f in report.failures
-        ],
-    }
+        "failures": [asdict(f) for f in report.failures],
+    })
 
 
-def _fmt(value) -> str:
-    if value is None:
+def _cell(entry: dict, path: str) -> str:
+    for key in path.split("."):
+        entry = entry[key]
+    if entry is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return repr(float(value))
+    if isinstance(entry, bool):
+        return "1" if entry else "0"
+    return repr(float(entry))
 
 
-def _csv_rows(report: AnalysisReport) -> dict[str, list[str]]:
+def _csv_rows(entries: list[dict]) -> dict[str, list[str]]:
     return {
         name: [CSV_SCHEMAS[name]]
-        + [",".join(_fmt(value(e)) for _, value in columns) for e in report.entries]
+        + [",".join(_cell(e, path) for _, path in columns) for e in entries]
         for name, columns in _CSV_COLUMNS.items()
     }
 
@@ -168,6 +151,7 @@ def _csv_rows(report: AnalysisReport) -> dict[str, list[str]]:
 def emit_report(report: AnalysisReport, out_dir: str | Path) -> list[Path]:
     """Write report.json (always) and the CSV tables (when there are entries).
 
+    The CSV cells are read from report.json's per-temperature entries.
     Returns the list of files written. I/O failures propagate as OSError
     with the offending path in the message.
     """
@@ -178,8 +162,9 @@ def emit_report(report: AnalysisReport, out_dir: str | Path) -> list[Path]:
     json_path = out / "report.json"
     json_path.write_text(to_json(doc) + "\n", encoding="utf-8")
     written.append(json_path)
-    if report.entries:
-        for name, lines in _csv_rows(report).items():
+    entries = doc["per_temperature"]
+    if entries:
+        for name, lines in _csv_rows(entries).items():
             path = out / name
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             written.append(path)

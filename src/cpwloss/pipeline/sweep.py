@@ -91,22 +91,24 @@ class AnalysisReport:
     provenance: dict
 
 
-def _redshift_onset(
-    entries: list[TemperatureEntry], nsigma: float, rel_floor: float
-) -> tuple[float | None, float]:
+REDSHIFT_NSIGMA = 3.0
+REDSHIFT_REL_FLOOR = 0.01
+
+
+def _redshift_onset(entries: list[TemperatureEntry]) -> tuple[float | None, float]:
     """First temperature with a significant red shift, and the threshold used.
 
-    The threshold combines the per-point fit uncertainty (nsigma * stderr)
-    with a relative floor tied to the largest observed red shift; the floor
-    keeps the onset meaningful when synthetic or averaged data drives the
-    fit errors far below any physically interesting shift.
+    The threshold is max(REDSHIFT_NSIGMA * stderr(fr), REDSHIFT_REL_FLOOR *
+    largest red shift). The relative floor keeps the onset meaningful when
+    synthetic or averaged data drives the fit errors far below any
+    physically interesting shift.
     """
     shifts = np.array([e.delta_f_hz for e in entries])
     max_red = float(max(0.0, -shifts.min(initial=0.0)))
-    floor = rel_floor * max_red
+    floor = REDSHIFT_REL_FLOOR * max_red
     threshold = floor
     for e in entries:
-        thr = max(nsigma * e.fit.stderr.get("fr_hz", 0.0), floor)
+        thr = max(REDSHIFT_NSIGMA * e.fit.stderr.get("fr_hz", 0.0), floor)
         if e.delta_f_hz < -thr:
             return e.temperature_k, thr
     return None, threshold
@@ -203,9 +205,7 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
         for e in entries
         if e.temperature_k < lowt_cut and e.budget.nqp_measured_per_um3 is not None
     ]
-    onset_t, onset_threshold = _redshift_onset(
-        entries, dataset.fit.redshift_nsigma, dataset.fit.redshift_rel_floor
-    )
+    onset_t, onset_threshold = _redshift_onset(entries)
     n_excess_lowt = sum(
         1 for e in entries if e.temperature_k < lowt_cut and e.excess_loss > 0.0
     )

@@ -226,6 +226,22 @@ class TestSweepCommand:
         traces = [q.name for q in mixed.iterdir() if q.suffix in (".csv", ".dat")]
         assert names == sorted(traces) and len(names) == 6
 
+    def test_fit_prints_the_reports_fit_block(self, capsys, tmp_path, sweep_setup):
+        cfg_path, traces_dir = sweep_setup
+        out = tmp_path / "out"
+        rc, _, _ = run_cli(
+            capsys, "sweep", str(traces_dir), "--config", str(cfg_path),
+            "--out", str(out),
+        )
+        assert rc == 0
+        entry = json.loads((out / "report.json").read_text())["per_temperature"][2]
+        rc, stdout, _ = run_cli(capsys, "fit", entry["source"])
+        assert rc == 0
+        fit = json.loads(stdout)
+        assert fit.pop("source") == entry["source"]
+        # same keys in the same order, nested stderr included
+        assert json.dumps(fit) == json.dumps(entry["fit"])
+
     def test_synth_sweep_command(self, capsys, tmp_path, sweep_setup):
         cfg_path, _ = sweep_setup
         out_dir = tmp_path / "synth_sweep"
@@ -307,3 +323,46 @@ def test_non_finite_float_option_is_input_error(capsys, tmp_path, sweep_setup, a
     assert rc == 1
     assert named in err and out == ""
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("photon", "--ql", "1e200", "--qc", "1e200", "--qi", "1", "--freq-hz", "1",
+         "--pin-dbm", "0"),
+        ("photon", *PHOTON_Q, "--freq-hz", "1e200", "--pin-dbm", "-100"),
+        ("photon", *PHOTON_Q, "--freq-hz", "1e200", "--pin-dbm", "-100",
+         "--n-target", "1"),
+    ],
+)
+def test_photon_overflow_is_input_error(capsys, argv):
+    # finite inputs whose squares are past the float range
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == "" and len(err.splitlines()) == 1
+    assert "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("synth", "--points", "1e400"), "invalid int value"),
+        (("fit",), "required: trace"),
+        (("bogus",), "invalid choice"),
+    ],
+)
+def test_usage_error_is_input_error(capsys, argv, message):
+    # exit 2 is kept for unfittable traces
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("fit", "--help")])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out

@@ -387,6 +387,8 @@ class TestConfig:
             ("material", "coherence_length_m"),
             ("material", "penetration_depth_m"),
             ("geometry", "length_m"),
+            ("fit", "redshift_nsigma"),
+            ("fit", "redshift_rel_floor"),
         ]:
             doc = self.good_doc()
             doc[section][key] = 0.5

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,11 +253,21 @@ class TestEmitReport:
         doc = json.loads((tmp_path / "empty" / "report.json").read_text())
         assert doc["per_temperature"] == []
 
-    def test_csv_columns_match_report_json(self, analyzed, tmp_path):
+    @pytest.mark.parametrize("infinite_qi", [False, True], ids=["analyzed", "infinite_qi"])
+    def test_csv_columns_match_report_json(self, analyzed, tmp_path, infinite_qi):
         _, _, report = analyzed
+        if infinite_qi:
+            # a fit flagged nonphysical_qi carries qi = inf: null in
+            # report.json, so an empty cell in the CSV as well
+            e = report.entries[1]
+            fit = replace(e.fit, qi=math.inf, stderr={**e.fit.stderr, "qi": math.inf})
+            entries = list(report.entries)
+            entries[1] = replace(e, fit=fit)
+            report = replace(report, entries=entries)
         out = tmp_path / "cols"
         emit_report(report, out)
         doc = json.loads((out / "report.json").read_text())
+        assert doc == report_to_dict(report)
         t = ("temperature_k",)
         columns = {
             "qi_vs_T.csv": {
