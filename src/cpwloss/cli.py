@@ -29,11 +29,14 @@ from .photon import build_power_budget, power_for_photons
 from .pipeline.config import AnalysisConfig, load_config
 from .pipeline.dc import extract_tc_rrr
 from .pipeline.forward import synth_sweep
-from .pipeline.io import TRACE_SUFFIXES, ingest_rt, ingest_s21, write_s21_csv
+from .pipeline.io import (
+    TRACE_SUFFIXES, ingest_rt, ingest_s21, read_bytes, write_s21_csv,
+)
+from .pipeline.parallel import ordered_map
 from .pipeline.report import emit_report, fit_record, to_json
 from .pipeline.sweep import dataset_from_config, sweep_analyze
 from .pipeline.xrd import CU_KALPHA1_ANGSTROM, lattice_constant
-from .resfit import NotchParams, fit_notch, synth_trace
+from .resfit import NotchParams, S21Trace, fit_notch, synth_trace
 
 
 def _emit(rows, args) -> None:
@@ -44,10 +47,12 @@ def _emit(rows, args) -> None:
     items = rows if isinstance(rows, list) else [rows]
     if not items:
         return
+    import csv  # only CSV output pays for the import
+
     cols = list(items[0].keys())
-    print(",".join(cols))
-    for item in items:
-        print(",".join("" if item.get(c) is None else repr(item[c]) for c in cols))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows([item.get(c) for c in cols] for item in items)
 
 
 def _require_config(args) -> AnalysisConfig:
@@ -56,8 +61,10 @@ def _require_config(args) -> AnalysisConfig:
     return load_config(args.config)
 
 
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_trace(path: Path) -> tuple[S21Trace, str]:
+    """A sweep input's trace and the sha256 of the bytes it was parsed from."""
+    data = read_bytes(path)
+    return ingest_s21(path, data=data), hashlib.sha256(data).hexdigest()
 
 
 def cmd_mb(args) -> int:
@@ -116,14 +123,15 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
 def cmd_sweep(args) -> int:
     config = _require_config(args)
     files = _collect_inputs(args.inputs)
-    traces = [ingest_s21(f) for f in files]
+    work_bytes = sum(f.stat().st_size for f in files)
+    traces, digests = zip(*ordered_map(_read_trace, files, work_bytes))
     dataset = dataset_from_config(traces, config)
     provenance = {
         "tool": "cpwloss",
         "tool_version": __version__,
         "config_sha256": config.digest,
         "inputs": [
-            {"path": str(f), "sha256": _file_sha256(f)} for f in files
+            {"path": str(f), "sha256": d} for f, d in zip(files, digests)
         ],
     }
     report = sweep_analyze(dataset, provenance=provenance)

@@ -121,7 +121,7 @@ class PowerBudget:
             raise ValueError("p_in_dbm must equal p_vna_dbm + p_att_db")
         if self.s21_mag < 0 or self.s11_mag < 0:
             raise ValueError("scattering magnitudes must be >= 0")
-        if self.s21_mag**2 + self.s11_mag**2 > 1.0:
+        if _square(self.s21_mag, "|S21|") + _square(self.s11_mag, "|S11|") > 1.0:
             raise ValueError("|S21|^2 + |S11|^2 > 1 violates energy conservation")
         if self.n_ph < 0:
             raise ValueError("photon number must be >= 0")

@@ -42,10 +42,25 @@ _META_KEYS = {"temperature_k": "temperature_k", "power_dbm": "power_dbm"}
 TRACE_SUFFIXES = {".csv": "csv", ".s2p": "touchstone", ".snp": "touchstone"}
 
 
-def _read_text(p: Path) -> str:
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of an input file; InputError when it cannot be read."""
     try:
-        return p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_text(p: Path, data: bytes | None = None) -> str:
+    """The UTF-8 text of ``p``, decoded from ``data`` when it is given.
+
+    Lines are split later by ``str.splitlines``, so the CR and CRLF line
+    ends that text-mode reading would translate need no translation here.
+    """
+    if data is None:
+        data = read_bytes(p)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {p}: {exc}") from exc
 
 
@@ -204,13 +219,15 @@ def _parse_touchstone(text: str, path) -> S21Trace:
     return _finish_trace(table[:, 0] * unit, _s21(fmt, table[:, 3], table[:, 4]), meta, path)
 
 
-def ingest_s21(path: str | Path, fmt: str = "auto") -> S21Trace:
+def ingest_s21(path: str | Path, fmt: str = "auto", data: bytes | None = None) -> S21Trace:
     """Read the S21 trace of a CSV or touchstone file.
 
     Args:
         path: input file.
         fmt: "csv", "touchstone", or "auto" (by ``TRACE_SUFFIXES``; any
             other suffix reads as CSV).
+        data: the file's bytes, when the caller has read them already (to
+            hash them, say); the file is then not read again.
 
     Returns:
         The validated trace.
@@ -220,7 +237,7 @@ def ingest_s21(path: str | Path, fmt: str = "auto") -> S21Trace:
         fmt = TRACE_SUFFIXES.get(p.suffix.lower(), "csv")
     if fmt not in ("csv", "touchstone"):
         raise InputError(f"unknown trace format {fmt!r}")
-    text = _read_text(p)
+    text = _read_text(p, data)
     parse = _parse_s21_csv if fmt == "csv" else _parse_touchstone
     # a dB magnitude or a frequency unit can overflow to inf; S21Trace then
     # rejects the trace as non-finite, so the float warnings carry nothing

@@ -1,8 +1,10 @@
 """Temperature-sweep orchestration: fit every trace, assemble loss budgets.
 
-Per-temperature fits are independent (no shared mutable state) and results
-are merged in ascending temperature order; the current implementation runs
-them sequentially, which keeps the report deterministic by construction.
+Per-temperature fits are independent (no shared mutable state), so they run
+on a forked worker pool when the sweep is large enough to pay for one (see
+:mod:`.parallel`). Results are merged in ascending temperature order, and a
+fit's bits do not depend on the process it ran in, so the report is the
+same from the pool and from one process.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from ..mbcore import MaterialParams
 from ..resfit import NotchFitResult, S21Trace, fit_notch
 from .config import AnalysisConfig, FitSettings, TlsSettings
 from .forward import theory_chain
+from .parallel import ordered_map
 
 
 @dataclass
@@ -114,6 +117,13 @@ def _redshift_onset(entries: list[TemperatureEntry]) -> tuple[float | None, floa
     return None, threshold
 
 
+def _fit_or_error(trace: S21Trace) -> NotchFitResult | FitError:
+    try:
+        return fit_notch(trace)
+    except FitError as exc:
+        return exc
+
+
 def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> AnalysisReport:
     """Fit every trace and decompose the loss budget per temperature.
 
@@ -126,17 +136,19 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
     """
     fits: list[tuple[S21Trace, NotchFitResult]] = []
     failures: list[FailureEntry] = []
-    for trace in dataset.traces:
-        try:
-            fits.append((trace, fit_notch(trace)))
-        except FitError as exc:
+    work_bytes = sum(tr.freq_hz.nbytes + tr.s21.nbytes for tr in dataset.traces)
+    results = ordered_map(_fit_or_error, dataset.traces, work_bytes)
+    for trace, result in zip(dataset.traces, results):
+        if isinstance(result, FitError):
             failures.append(
                 FailureEntry(
                     source=trace.source,
                     temperature_k=trace.temperature_k,
-                    error=str(exc),
+                    error=str(result),
                 )
             )
+        else:
+            fits.append((trace, result))
     if not fits:
         raise FitError("no trace in the sweep could be fitted")
 

@@ -12,8 +12,9 @@ the circle and its centered phase, then one joint Levenberg-Marquardt
 refinement of all seven parameters on the stacked real/imaginary residuals.
 Qi follows from 1/Qi = 1/Ql - Re(exp(j phi))/|Qc|.
 
-Fits on different traces are independent and safe to run in parallel; the
-synthetic-trace generator is seeded per call and never shares RNG state.
+Fits on different traces are independent and safe to run in parallel; a
+sweep runs them on a forked worker pool (:mod:`cpwloss.pipeline.parallel`).
+The synthetic-trace generator is seeded per call and never shares RNG state.
 """
 
 from __future__ import annotations
@@ -265,6 +266,23 @@ def _seed_resonance(
     return fr0, abs(slope) * fr0 / 4.0, float(theta[idx])
 
 
+# OpenBLAS computes a dot product of at most this many elements on one
+# thread, and splits a longer one across its threads
+_DOT_CHUNK = 10_000
+
+
+def _half_sq(r: np.ndarray) -> float:
+    """The LM cost 0.5*|r|^2, from dot products of at most _DOT_CHUNK elements.
+
+    One long dot product would be split across BLAS threads: its rounding
+    would then depend on the thread count, and in forked workers its
+    threads would compete with the other workers for the CPUs. Up to
+    _DOT_CHUNK elements this is the plain ``r @ r``.
+    """
+    c = _DOT_CHUNK
+    return 0.5 * sum(float(r[i : i + c] @ r[i : i + c]) for i in range(0, r.size, c))
+
+
 def _refine(f, z, p0, x_scale, f_center):
     """Levenberg-Marquardt fit of all seven parameters from ``p0``: the
     parameters, the cost 0.5*|r|^2 and the Jacobian there.
@@ -312,7 +330,7 @@ def _refine(f, z, p0, x_scale, f_center):
     scale2 = np.outer(x_scale, x_scale)
     with np.errstate(all="ignore"):
         x, (r, parts) = p0, model(p0)
-        cost, nfev, lam, nu = 0.5 * float(r @ r), 1, 1e-3, 2.0
+        cost, nfev, lam, nu = _half_sq(r), 1, 1e-3, 2.0
         while True:
             jt = jac_t(x, parts)
             # normal equations in x_scale units
@@ -329,7 +347,7 @@ def _refine(f, z, p0, x_scale, f_center):
                     raise FitError(stall + f"{budget} evaluations exhausted")
                 x_new = x + step * x_scale
                 r_new, parts_new = model(x_new)
-                cost_new, nfev = 0.5 * float(r_new @ r_new), nfev + 1
+                cost_new, nfev = _half_sq(r_new), nfev + 1
                 gain = cost - cost_new
                 if gain > 0.0:  # False for a non-finite trial point
                     break

@@ -1,3 +1,7 @@
+import collections
+import csv
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -137,6 +141,18 @@ class TestFitAndSynth:
         tr = ingest_s21(out_file)
         assert len(tr) == 2001
 
+    def test_csv_quotes_a_path_with_a_comma(self, capsys, tmp_path):
+        p = NotchParams(fr_hz=5.95e9, ql=7e4, qc_mag=1e5, phi_rad=0.15)
+        path = tmp_path / "a,b" / "t.csv"
+        path.parent.mkdir()
+        write_s21_csv(path, synth_trace(p, default_grid(p, n=401), 1e-4, seed=1))
+        rc, out, _ = run_cli(capsys, "fit", str(path), "--format", "csv")
+        assert rc == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(row) == len(header) == 11
+        assert row[header.index("source")] == str(path)
+        assert float(row[header.index("fr_hz")]) == pytest.approx(p.fr_hz, rel=1e-6)
+
     def test_csv_output_format(self, capsys):
         rc, out, _ = run_cli(
             capsys, "photon", "--ql", "5e4", "--qc", "1e5", "--qi", "2.5e5",
@@ -203,7 +219,28 @@ class TestSweepCommand:
         doc = json.loads((out1 / "report.json").read_text())
         assert len(doc["per_temperature"]) == 6
         assert doc["provenance"]["config_sha256"]
-        assert all(i["sha256"] for i in doc["provenance"]["inputs"])
+        for i in doc["provenance"]["inputs"]:
+            assert i["sha256"] == hashlib.sha256(Path(i["path"]).read_bytes()).hexdigest()
+
+    def test_each_input_is_read_once(self, capsys, monkeypatch, tmp_path, sweep_setup):
+        # the provenance hash comes from the bytes the trace was parsed from
+        cfg_path, traces_dir = sweep_setup
+        reads = collections.Counter()
+        for name in ("read_bytes", "read_text"):
+            real = getattr(Path, name)
+
+            def counted(self, *args, real=real, **kwargs):
+                reads[self.name] += 1
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, counted)
+        rc, _, _ = run_cli(
+            capsys, "sweep", str(traces_dir), "--config", str(cfg_path),
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == 0
+        traces = sorted(p.name for p in traces_dir.iterdir())
+        assert {name: reads[name] for name in traces} == dict.fromkeys(traces, 1)
 
     def test_directory_takes_only_trace_files(self, capsys, tmp_path, sweep_setup):
         # a config, a README and a .dat trace beside the .csv traces; the
@@ -296,6 +333,25 @@ def test_cli_runs_without_scipy(tmp_path, sweep_setup):
     )
     assert run_probe(probe, json.dumps(argvs))[-1] == "[0, 0, 0]"
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_fit_output_does_not_depend_on_blas_threads(tmp_path):
+    # 12001 points: the LM cost sums 24002 residuals, more than OpenBLAS
+    # sums on one thread in a single dot product
+    p = NotchParams(fr_hz=5.95e9, ql=7e4, qc_mag=1e5, phi_rad=0.15, tau_s=10e-9)
+    path = tmp_path / "long.csv"
+    write_s21_csv(path, synth_trace(p, default_grid(p, n=12001), 1e-3, seed=0))
+    src = Path(cli.__file__).resolve().parents[1]
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "cpwloss.cli", "fit", str(path)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert json.loads(outs[0])["n_points"] == 12001
+    assert outs[0] == outs[1]
 
 
 PHOTON_Q = ("--ql", "7e4", "--qc", "1e5", "--qi", "2.5e5")

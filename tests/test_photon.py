@@ -137,6 +137,15 @@ class TestBudgetAndInversion:
                 p_loss_w=0.0, s21_mag=0.9, s11_mag=0.9, n_ph=0.0,
             )
 
+    def test_budget_overflow_is_value_error(self):
+        # a finite magnitude whose square is past the float range
+        for mags in ((1e200, 0.0), (0.0, 1e200)):
+            with pytest.raises(ValueError, match="overflows"):
+                photon.PowerBudget(
+                    p_vna_dbm=0.0, p_att_db=0.0, p_in_dbm=0.0,
+                    p_loss_w=0.0, s21_mag=mags[0], s11_mag=mags[1], n_ph=0.0,
+                )
+
     def test_degenerate_inversion_rejected(self):
         # Ql so small that |S21| rounds to exactly 1: zero loss fraction
         with pytest.raises(ValueError):
