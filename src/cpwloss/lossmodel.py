@@ -1,4 +1,4 @@
-"""TLS and quasiparticle loss channels and the per-temperature loss budget.
+"""TLS and quasiparticle loss channels and the loss budget of a sweep.
 
 The TLS channel follows the standard saturable two-level-system model
 1/Q_TLS = F*delta0_TLS * tanh(hbar omega / 2 kB T) / (1 + n/n_c)^beta.
@@ -7,6 +7,10 @@ n_qp = delta_qp * N0 * delta(T) * (pi/alpha) * sqrt(hbar omega / 2 delta(T)).
 The same conversion applied to the measured loss (1/Qi - 1/Q_TLS) and to
 the theoretical loss gives the measured and theoretical densities; both
 paths share one implementation.
+
+The functions are elementwise: each takes one value or an array, and
+``make_budget`` builds a whole sweep's per-temperature budgets in one call
+over its arrays.
 """
 
 from __future__ import annotations
@@ -75,43 +79,37 @@ def qi_theory(q_tls_value, delta_qp):
     return _inverse(_inverse(q_tls_value) + delta_qp)
 
 
-def delta_qp_measured(qi_measured: float, q_tls_value: float) -> float:
-    """Measured quasiparticle loss 1/Qi - 1/Q_TLS.
+def delta_qp_measured(qi_measured, q_tls_value):
+    """Measured quasiparticle loss 1/Qi - 1/Q_TLS, elementwise.
 
     May come out negative when the fitted Qi exceeds the modelled TLS limit
     (fit noise near the Qi maximum); callers flag rather than clamp.
     """
-    if qi_measured <= 0 or q_tls_value <= 0:
+    if np.any(np.asarray(qi_measured) <= 0) or np.any(np.asarray(q_tls_value) <= 0):
         raise ValueError("quality factors must be positive")
-    return 1.0 / qi_measured - 1.0 / q_tls_value
+    return _inverse(qi_measured) - _inverse(q_tls_value)
 
 
 def nqp_from_loss(
-    delta_qp: float,
-    t_kelvin: float,
-    params: MaterialParams,
-    omega_rad: float,
+    delta_qp, t_kelvin, params: MaterialParams, omega_rad: float,
     gap_model: str = "bcs_tanh",
-) -> float:
-    """Quasiparticle density in m^-3 from a loss tangent.
+):
+    """Quasiparticle density in m^-3 from a loss tangent, elementwise.
 
     Applies n_qp = delta * N0 * delta(T) * (pi/alpha) * sqrt(hw/(2 delta(T))).
     Applied to the measured loss this gives the measured density; applied to
     the theoretical loss it gives the thermal-theory density.
     """
-    if delta_qp < 0:
+    delta = np.asarray(delta_qp, dtype=float)
+    if np.any(delta < 0):
         raise ValueError("loss tangent must be >= 0 (flag negatives upstream)")
-    if t_kelvin >= params.tc_kelvin:
+    if np.any(np.asarray(t_kelvin) >= params.tc_kelvin):
         raise ValueError("T >= Tc: gap closed, density conversion invalid")
     d_t = gap_at_temperature(params.delta0_ev, t_kelvin, params.tc_kelvin, gap_model)
     hw = HBAR_EVS * omega_rad
-    return (
-        delta_qp
-        * params.n0_states
-        * d_t
-        * (math.pi / params.alpha)
-        * math.sqrt(hw / (2.0 * d_t))
-    )
+    n = delta * params.n0_states * d_t * (math.pi / params.alpha)
+    n = n * np.sqrt(hw / (2.0 * d_t))
+    return float(n) if np.ndim(n) == 0 else n
 
 
 @dataclass(frozen=True)
@@ -134,46 +132,34 @@ class LossBudget:
 
 
 def make_budget(
-    t_kelvin: float,
-    q_tls_value: float,
-    delta_qp_theory: float,
-    qi_measured: float,
-    material: MaterialParams,
-    omega_rad: float,
-    gap_model: str = "bcs_tanh",
-) -> LossBudget:
-    """Assemble a self-consistent loss budget for one temperature."""
-    q_qp = _inverse(delta_qp_theory)
-    qi_th = qi_theory(q_tls_value, delta_qp_theory)
+    t_kelvin, q_tls_value, delta_qp_theory, qi_theory_value, qi_measured,
+    material: MaterialParams, omega_rad: float, gap_model: str = "bcs_tanh",
+) -> list[LossBudget]:
+    """The budgets of a sweep, one per element of the equal-length arrays.
+
+    ``qi_theory_value`` is the theory chain's 1/(1/Q_TLS + delta_qp_theory).
+    """
     d_meas = delta_qp_measured(qi_measured, q_tls_value)
     negative = d_meas < 0.0
-    nqp_meas = (
-        None
-        if negative
-        else nqp_from_loss(d_meas, t_kelvin, material, omega_rad, gap_model) * M3_TO_UM3
+    # both densities in one conversion, so the gap is evaluated once
+    losses = np.stack((np.where(negative, 0.0, d_meas), delta_qp_theory))
+    nqp = nqp_from_loss(losses, t_kelvin, material, omega_rad, gap_model) * M3_TO_UM3
+    columns = (
+        q_tls_value, _inverse(delta_qp_theory), qi_theory_value, qi_measured, d_meas,
+        np.where(negative, None, nqp[0]), nqp[1], negative,
     )
-    nqp_th = (
-        nqp_from_loss(delta_qp_theory, t_kelvin, material, omega_rad, gap_model)
-        * M3_TO_UM3
-    )
-    return LossBudget(
-        q_tls=q_tls_value,
-        q_qp_theory=q_qp,
-        qi_theory=qi_th,
-        qi_measured=qi_measured,
-        delta_qp_measured=d_meas,
-        nqp_measured_per_um3=nqp_meas,
-        nqp_theory_per_um3=nqp_th,
-        negative_loss=negative,
-    )
+    return [LossBudget(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
-def excess_qp_loss(budget: LossBudget) -> tuple[float, bool]:
+def excess_qp_loss(qi_measured, qi_theory_value):
     """Loss beyond the thermal prediction: max(0, 1/Qi_meas - 1/Qi_theory).
 
-    Returns (excess, negative_flag). A positive excess at T well below Tc is
-    the signature of a non-equilibrium quasiparticle channel; a negative raw
-    difference (measured better than theory) is clamped to zero and flagged.
+    Returns (excess, negative_flag), elementwise. A positive excess at T well
+    below Tc is the signature of a non-equilibrium quasiparticle channel; a
+    negative raw difference (measured better than theory) is clamped to zero
+    and flagged.
     """
-    diff = 1.0 / budget.qi_measured - 1.0 / budget.qi_theory
-    return max(0.0, diff), diff < 0.0
+    diff = _inverse(qi_measured) - _inverse(qi_theory_value)
+    if np.ndim(diff) == 0:
+        return max(0.0, diff), diff < 0.0
+    return np.where(diff > 0.0, diff, 0.0), diff < 0.0

@@ -12,7 +12,6 @@ frequencies in rad/s, energies in eV.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -111,27 +110,32 @@ def gap_at_zero(tc_kelvin: float) -> float:
 
 
 def gap_at_temperature(
-    delta0_ev: float, t_kelvin: float, tc_kelvin: float, model: str = "bcs_tanh"
-) -> float:
-    """Energy gap delta(T) in eV.
+    delta0_ev: float, t_kelvin, tc_kelvin: float, model: str = "bcs_tanh"
+):
+    """Energy gap delta(T) in eV at temperature T (scalar or array).
 
     ``bcs_tanh`` uses the standard interpolation
-    delta0 * tanh(1.74 * sqrt(Tc/T - 1)), which is exact at T = 0 and
-    closes at Tc. ``constant`` returns delta0 (adequate below Tc/3).
+    delta0 * tanh(1.74 * sqrt(Tc/T - 1)), which is exact at T = 0
+    (tanh(inf) = 1) and closes at Tc. ``constant`` returns delta0
+    (adequate below Tc/3).
     """
     if model not in GAP_MODELS:
         raise ValueError(f"unknown gap model {model!r}; expected one of {GAP_MODELS}")
     if delta0_ev <= 0:
         raise ValueError("delta0 must be positive")
-    if t_kelvin < 0:
+    t = np.asarray(t_kelvin, dtype=float)
+    if np.any(t < 0):
         raise ValueError("temperature must be >= 0")
-    if t_kelvin >= tc_kelvin:
+    if np.any(t >= tc_kelvin):
         raise ValueError(
-            f"T = {t_kelvin} K >= Tc = {tc_kelvin} K: gap closed, model invalid"
+            f"T = {t.max()} K >= Tc = {tc_kelvin} K: gap closed, model invalid"
         )
-    if model == "constant" or t_kelvin == 0.0:
-        return delta0_ev
-    return delta0_ev * math.tanh(1.74 * math.sqrt(tc_kelvin / t_kelvin - 1.0))
+    if model == "constant":
+        gap = np.full(t.shape, delta0_ev)
+    else:
+        with np.errstate(divide="ignore"):
+            gap = delta0_ev * np.tanh(1.74 * np.sqrt(tc_kelvin / t - 1.0))
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def _check_regime(hw_ev: float, delta0_ev: float, kt_max_ev: float) -> None:

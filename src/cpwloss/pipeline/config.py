@@ -26,6 +26,9 @@ class TlsSettings:
     n_c: float
     beta_exp: float
 
+    def __post_init__(self) -> None:
+        self.tls_params(1.0)  # TlsParams's own range checks
+
     def tls_params(self, omega_rad: float) -> TlsParams:
         return TlsParams(
             f_delta0=self.f_delta0,
@@ -60,6 +63,8 @@ class FitSettings:
             raise ConfigError("fit.n_photon must be >= 0")
         if self.geom_factor_per_m is not None and self.geom_factor_per_m <= 0:
             raise ConfigError("fit.geom_factor_per_m must be positive")
+        if self.t_ref_kelvin is not None and not self.t_ref_kelvin > 0:
+            raise ConfigError("fit.t_ref_kelvin must be positive")
 
     def geom_factor(self, geometry: CpwGeometry) -> float:
         if self.geom_factor_per_m is not None:
@@ -85,6 +90,12 @@ class RunSettings:
     excess_loss: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("frequency_hz", "qc_mag"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"run.{name} must be positive")
+        if self.temperatures is not None and not all(t > 0 for t in self.temperatures):
+            raise ConfigError("run.temperatures must be positive")
         if self.noise_sigma < 0:
             raise ConfigError("run.noise_sigma must be >= 0")
         if self.npoints < 16:

@@ -4,7 +4,9 @@ Per-temperature fits are independent (no shared mutable state), so they run
 on a forked worker pool when the sweep is large enough to pay for one (see
 :mod:`.parallel`). Results are merged in ascending temperature order, and a
 fit's bits do not depend on the process it ran in, so the report is the
-same from the pool and from one process.
+same from the pool and from one process. After the fits, the theory chain,
+the loss budgets and the excess loss are each one array call over the
+fitted temperatures; no step loops over temperatures.
 """
 
 from __future__ import annotations
@@ -26,22 +28,31 @@ from .parallel import ordered_map
 
 @dataclass
 class SweepDataset:
-    """Input bundle for one temperature sweep."""
+    """Input bundle for one temperature sweep.
+
+    Traces without a temperature tag are set aside in ``untagged``; the
+    analysis reports each one as a failure.
+    """
 
     traces: list[S21Trace]
     material: MaterialParams
     geometry: CpwGeometry
     tls: TlsSettings
     fit: FitSettings = field(default_factory=FitSettings)
+    untagged: list[S21Trace] = field(init=False)
 
     def __post_init__(self) -> None:
         tagged = [tr for tr in self.traces if tr.temperature_k is not None]
+        self.untagged = [tr for tr in self.traces if tr.temperature_k is None]
         if len(tagged) < 2:
             raise InputError("sweep needs at least 2 temperature-tagged traces")
         self.traces = sorted(tagged, key=lambda tr: tr.temperature_k)
-        temps = [tr.temperature_k for tr in self.traces]
-        if any(b <= a for a, b in zip(temps, temps[1:])):
-            raise InputError("trace temperatures must be distinct")
+        for a, b in zip(self.traces, self.traces[1:]):
+            if b.temperature_k <= a.temperature_k:
+                raise InputError(
+                    f"trace temperatures must be distinct: {a.source} and "
+                    f"{b.source} are both at {a.temperature_k} K"
+                )
         powers = [tr.power_dbm for tr in self.traces if tr.power_dbm is not None]
         if powers and max(powers) - min(powers) > 0.5:
             raise InputError(
@@ -127,28 +138,24 @@ def _fit_or_error(trace: S21Trace) -> NotchFitResult | FitError:
 def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> AnalysisReport:
     """Fit every trace and decompose the loss budget per temperature.
 
-    Unfittable traces degrade to failure entries; the analysis fails only
-    when no trace fits. The reference trace is the coldest successful one,
-    or, with ``fit.t_ref_kelvin`` set, the successful trace nearest that
-    temperature. The theory chain (conductivity, surface impedance, TLS)
-    is evaluated at the reference trace's fitted resonance frequency, once
-    over all fitted temperatures, and ``delta_f_hz`` is measured from it.
+    Unfittable and untagged traces degrade to failure entries; the analysis
+    fails only when no trace fits. The reference trace is the coldest
+    successful one, or, with ``fit.t_ref_kelvin`` set, the successful trace
+    nearest that temperature. The theory chain (conductivity, surface
+    impedance, TLS) is evaluated at the reference trace's fitted resonance
+    frequency, once over all fitted temperatures, and ``delta_f_hz`` is
+    measured from it.
     """
-    fits: list[tuple[S21Trace, NotchFitResult]] = []
-    failures: list[FailureEntry] = []
     work_bytes = sum(tr.freq_hz.nbytes + tr.s21.nbytes for tr in dataset.traces)
-    results = ordered_map(_fit_or_error, dataset.traces, work_bytes)
-    for trace, result in zip(dataset.traces, results):
-        if isinstance(result, FitError):
-            failures.append(
-                FailureEntry(
-                    source=trace.source,
-                    temperature_k=trace.temperature_k,
-                    error=str(result),
-                )
-            )
-        else:
-            fits.append((trace, result))
+    results = list(
+        zip(dataset.traces, ordered_map(_fit_or_error, dataset.traces, work_bytes))
+    )
+    fits = [(trace, r) for trace, r in results if not isinstance(r, FitError)]
+    failures = [
+        FailureEntry(trace.source, trace.temperature_k, str(r))
+        for trace, r in results
+        if isinstance(r, FitError)
+    ] + [FailureEntry(tr.source, None, "no temperature tag") for tr in dataset.untagged]
     if not fits:
         raise FitError("no trace in the sweep could be fitted")
 
@@ -162,54 +169,30 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
     fr_ref = ref_fit.params.fr_hz
     omega = angular_frequency(fr_ref)
 
+    temps = [trace.temperature_k for trace, _ in fits]
+    qi_measured = [fit.qi for _, fit in fits]
     chain = theory_chain(
-        dataset.material,
-        dataset.geometry,
-        dataset.tls,
-        dataset.fit,
-        omega,
-        [trace.temperature_k for trace, _ in fits],
+        dataset.material, dataset.geometry, dataset.tls, dataset.fit, omega, temps
     )
+    budgets = make_budget(
+        temps, chain.q_tls, chain.delta_qp, chain.qi_theory, qi_measured,
+        dataset.material, omega, dataset.fit.gap_model,
+    )
+    excess, negative = excess_qp_loss(qi_measured, chain.qi_theory)
     sigma = chain.sigma
     columns = (
-        chain.q_tls,
-        chain.delta_qp,
-        sigma.sigma1_norm,
-        sigma.sigma2_norm,
-        sigma.sigma1,
-        sigma.sigma2,
+        chain.delta_qp, excess, negative,
+        sigma.sigma1_norm, sigma.sigma2_norm, sigma.sigma1, sigma.sigma2,
     )
-    entries: list[TemperatureEntry] = []
-    for (trace, fit), (qtls, delta_qp, s1n, s2n, s1, s2) in zip(
-        fits, zip(*(c.tolist() for c in columns))
-    ):
-        t = trace.temperature_k
-        budget = make_budget(
-            t_kelvin=t,
-            q_tls_value=qtls,
-            delta_qp_theory=delta_qp,
-            qi_measured=fit.qi,
-            material=dataset.material,
-            omega_rad=omega,
-            gap_model=dataset.fit.gap_model,
+    # the fields after the budget, in TemperatureEntry order
+    entries = [
+        TemperatureEntry(
+            trace.temperature_k, trace.source, fit, fit.params.fr_hz - fr_ref, budget, *row
         )
-        excess, negative = excess_qp_loss(budget)
-        entries.append(
-            TemperatureEntry(
-                temperature_k=t,
-                source=trace.source,
-                fit=fit,
-                delta_f_hz=fit.params.fr_hz - fr_ref,
-                budget=budget,
-                delta_qp_theory=delta_qp,
-                excess_loss=excess,
-                excess_negative=negative,
-                sigma1_norm=s1n,
-                sigma2_norm=s2n,
-                sigma1_s_per_m=s1,
-                sigma2_s_per_m=s2,
-            )
+        for (trace, fit), budget, row in zip(
+            fits, budgets, zip(*(c.tolist() for c in columns))
         )
+    ]
 
     lowt_cut = dataset.material.tc_kelvin / 10.0
     plateau_vals = [

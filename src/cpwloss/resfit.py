@@ -115,7 +115,6 @@ class NotchFitResult:
 class DelayEstimate:
     tau_s: float
     stderr_s: float
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -197,11 +196,7 @@ def estimate_delay(trace: S21Trace) -> DelayEstimate:
         w = [1.0 / max(v, 1e-300) for v in variances]
         slope = (slopes[0] * w[0] + slopes[1] * w[1]) / (w[0] + w[1])
         err = math.sqrt(1.0 / (w[0] + w[1]))
-    return DelayEstimate(
-        tau_s=-slope / (2.0 * math.pi),
-        stderr_s=err / (2.0 * math.pi),
-        n_points=2 * k,
-    )
+    return DelayEstimate(tau_s=-slope / (2.0 * math.pi), stderr_s=err / (2.0 * math.pi))
 
 
 def circle_fit(points) -> CircleFit:

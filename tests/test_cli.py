@@ -56,6 +56,18 @@ class TestExitCodes:
         rc, _, err = run_cli(capsys, "mb", "--config", str(p))
         assert rc == 3
 
+    @pytest.mark.parametrize("kind", ["sweep", "synth"])
+    def test_out_of_range_config_value_is_3(self, capsys, tmp_path, sweep_setup, kind):
+        cfg_path, traces_dir = sweep_setup
+        doc = json.loads(cfg_path.read_text())
+        doc["tls"]["beta_exp"] = 2.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["sweep", str(traces_dir)] if kind == "sweep" else ["synth", "--kind", "sweep"]
+        rc, _, err = run_cli(capsys, *argv, "--config", str(bad), "--out", str(tmp_path))
+        assert rc == 3, err
+        assert "beta_exp" in err
+
     def test_missing_input_is_1(self, capsys):
         rc, _, _ = run_cli(capsys, "dc", "/nonexistent/rt.csv")
         assert rc == 1
@@ -262,6 +274,29 @@ class TestSweepCommand:
         names = sorted(Path(i["path"]).name for i in inputs)
         traces = [q.name for q in mixed.iterdir() if q.suffix in (".csv", ".dat")]
         assert names == sorted(traces) and len(names) == 6
+
+    def test_untagged_trace_is_a_failure(self, capsys, tmp_path, sweep_setup):
+        # every input ends in per_temperature or in failures
+        cfg_path, traces_dir = sweep_setup
+        mixed = tmp_path / "mixed"
+        shutil.copytree(traces_dir, mixed)
+        first = sorted(mixed.glob("*.csv"))[0]
+        lines = first.read_text().splitlines(keepends=True)
+        untagged = mixed / "untagged.csv"
+        untagged.write_text("".join(ln for ln in lines if not ln.startswith("#")))
+        first.unlink()
+        out = tmp_path / "out"
+        rc, _, err = run_cli(
+            capsys, "sweep", str(mixed), "--config", str(cfg_path), "--out", str(out)
+        )
+        assert rc == 0, err
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["per_temperature"]) == 5
+        assert report["failures"] == [
+            {"source": str(untagged), "temperature_k": None, "error": "no temperature tag"}
+        ]
+        reported = {e["source"] for e in report["per_temperature"] + report["failures"]}
+        assert reported == {i["path"] for i in report["provenance"]["inputs"]}
 
     def test_fit_prints_the_reports_fit_block(self, capsys, tmp_path, sweep_setup):
         cfg_path, traces_dir = sweep_setup

@@ -82,6 +82,21 @@ class TestDeltaQpMeasured:
     def test_negative_allowed(self):
         assert lossmodel.delta_qp_measured(2e5, 1e5) < 0.0
 
+    def test_array_matches_scalar_calls(self):
+        qi = np.array([1e5, 7.421e3, 2e5, math.inf])
+        qtls = np.array([1e5, 1e12, 1e5, math.inf])
+        arr = lossmodel.delta_qp_measured(qi, qtls)
+        scalars = [lossmodel.delta_qp_measured(a, b) for a, b in zip(qi.tolist(), qtls.tolist())]
+        assert all(type(v) is float for v in scalars)
+        assert arr.tolist() == scalars
+        assert arr[2] < 0.0 and arr[3] == 0.0
+
+    def test_one_bad_element_raises(self):
+        with pytest.raises(ValueError, match="positive"):
+            lossmodel.delta_qp_measured([1e5, 0.0, 1e5], 1e5)
+        with pytest.raises(ValueError, match="positive"):
+            lossmodel.delta_qp_measured(1e5, [1e5, 1e5, -1.0])
+
 
 class TestNqpFromLoss:
     def test_zero_loss(self, nbn_film):
@@ -114,23 +129,47 @@ class TestNqpFromLoss:
             lossmodel.nqp_from_loss(-1e-6, 1.0, nbn_film, OMEGA0)
         with pytest.raises(ValueError):
             lossmodel.nqp_from_loss(1e-6, 11.0, nbn_film, OMEGA0)
+        # one element out of range is enough
+        with pytest.raises(ValueError, match=">= 0"):
+            lossmodel.nqp_from_loss([1e-6, -1e-9, 1e-6], [0.5, 1.0, 2.0], nbn_film, OMEGA0)
+        with pytest.raises(ValueError, match="Tc"):
+            lossmodel.nqp_from_loss([1e-6, 1e-6, 1e-6], [0.5, 11.0, 2.0], nbn_film, OMEGA0)
+
+    @pytest.mark.parametrize("gap_model", ["bcs_tanh", "constant"])
+    def test_array_matches_scalar_calls(self, nbn_film, gap_model):
+        delta = np.array([0.0, 1e-7, 2.167e-7, 3e-5, 1e-4])
+        temps = np.array([0.0, 0.12, 0.5, 1.7, 2.9])
+        arr = lossmodel.nqp_from_loss(delta, temps, nbn_film, OMEGA0, gap_model)
+        scalars = [
+            lossmodel.nqp_from_loss(d, t, nbn_film, OMEGA0, gap_model)
+            for d, t in zip(delta.tolist(), temps.tolist())
+        ]
+        assert all(type(v) is float for v in scalars)
+        assert arr.tolist() == scalars
+
+
+def budgets(material, t, q_tls, delta_qp, qi_measured):
+    """Array make_budget, with Qi_theory composed as the theory chain does."""
+    return lossmodel.make_budget(
+        t_kelvin=t,
+        q_tls_value=q_tls,
+        delta_qp_theory=delta_qp,
+        qi_theory_value=lossmodel.qi_theory(q_tls, delta_qp),
+        qi_measured=qi_measured,
+        material=material,
+        omega_rad=OMEGA0,
+    )
 
 
 class TestBudget:
     def make(self, nbn_film, qi_measured=8e4, t=0.5, delta_qp=1e-7):
-        return lossmodel.make_budget(
-            t_kelvin=t,
-            q_tls_value=1e5,
-            delta_qp_theory=delta_qp,
-            qi_measured=qi_measured,
-            material=nbn_film,
-            omega_rad=OMEGA0,
-        )
+        [budget] = budgets(nbn_film, [t], [1e5], [delta_qp], [qi_measured])
+        return budget
 
     def test_channel_identity_bitwise(self, nbn_film):
-        # 1/(1/2.167e-7) differs from 2.167e-7 in the last digit, and the
-        # difference reaches Qi_theory: the budget must compose delta_qp
-        # itself, as the theory chain does
+        # 1/(1/2.167e-7) differs from 2.167e-7 in the last digit: the budget
+        # takes the chain's Qi_theory as given instead of recomposing it
+        # from Q_qp
         assert 1.0 / (1.0 / 2.167e-7) != 2.167e-7
         for delta_qp in (1e-7, 2.167e-7):
             b = self.make(nbn_film, delta_qp=delta_qp)
@@ -153,17 +192,63 @@ class TestBudget:
         )
         assert b.nqp_theory_per_um3 == recomputed
 
+    def test_array_matches_per_element_calls(self, nbn_film):
+        # T = 0, a negative measured loss (Qi above the TLS limit), a Qi of
+        # inf, an infinite Q_TLS and a vanishing theory loss
+        t = [0.0, 0.12, 0.5, 1.0, 2.9]
+        q_tls = [1e5, 1e5, 1e5, math.inf, 2e5]
+        delta_qp = [0.0, 1e-7, 2.167e-7, 3e-6, 1e-4]
+        qi_measured = [8e4, 2e5, math.inf, 5e4, 7.421e3]
+        whole = budgets(nbn_film, t, q_tls, delta_qp, qi_measured)
+        one_by_one = [
+            budgets(nbn_film, *([v] for v in row))[0]
+            for row in zip(t, q_tls, delta_qp, qi_measured)
+        ]
+        assert whole == one_by_one
+        assert [b.negative_loss for b in whole] == [False, True, True, False, False]
+        for b, t_k, dqp in zip(whole, t, delta_qp):
+            assert b.delta_qp_measured == lossmodel.delta_qp_measured(b.qi_measured, b.q_tls)
+            assert b.nqp_theory_per_um3 == (
+                lossmodel.nqp_from_loss(dqp, t_k, nbn_film, OMEGA0) * M3_TO_UM3
+            )
+            if b.negative_loss:
+                assert b.nqp_measured_per_um3 is None
+            else:
+                assert b.nqp_measured_per_um3 == (
+                    lossmodel.nqp_from_loss(b.delta_qp_measured, t_k, nbn_film, OMEGA0)
+                    * M3_TO_UM3
+                )
+        assert all(
+            type(v) is float
+            for b in whole
+            for v in (b.q_tls, b.qi_theory, b.qi_measured, b.nqp_theory_per_um3)
+        )
+
+    def test_one_bad_element_raises(self, nbn_film):
+        with pytest.raises(ValueError, match="positive"):
+            budgets(nbn_film, [0.5, 1.0], [1e5, 1e5], [1e-7, 1e-7], [8e4, 0.0])
+        with pytest.raises(ValueError, match="Tc"):
+            budgets(nbn_film, [0.5, 11.0], [1e5, 1e5], [1e-7, 1e-7], [8e4, 8e4])
+
     def test_excess_loss_cases(self, nbn_film):
         b = self.make(nbn_film, qi_measured=5e4)
-        excess, negative = lossmodel.excess_qp_loss(b)
+        excess, negative = lossmodel.excess_qp_loss(b.qi_measured, b.qi_theory)
         assert excess == pytest.approx(1.0 / 5e4 - 1.0 / b.qi_theory, rel=1e-12)
         assert not negative
-        b_eq = lossmodel.make_budget(
-            t_kelvin=0.5, q_tls_value=1e5, delta_qp_theory=0.0,
-            qi_measured=1e5, material=nbn_film, omega_rad=OMEGA0,
-        )
-        excess, negative = lossmodel.excess_qp_loss(b_eq)
+        excess, negative = lossmodel.excess_qp_loss(1e5, lossmodel.qi_theory(1e5, 0.0))
         assert excess == 0.0 and not negative
         b_neg = self.make(nbn_film, qi_measured=1.5e5)
-        excess, negative = lossmodel.excess_qp_loss(b_neg)
+        excess, negative = lossmodel.excess_qp_loss(b_neg.qi_measured, b_neg.qi_theory)
         assert excess == 0.0 and negative
+
+    def test_excess_array_matches_scalar_calls(self):
+        qi_measured = np.array([5e4, 1e5, 1.5e5, math.inf, 7e3])
+        qi_th = np.array([8e4, 1e5, 1e5, 1e5, math.inf])
+        excess, negative = lossmodel.excess_qp_loss(qi_measured, qi_th)
+        scalars = [
+            lossmodel.excess_qp_loss(a, b)
+            for a, b in zip(qi_measured.tolist(), qi_th.tolist())
+        ]
+        assert all(type(e) is float and type(n) is bool for e, n in scalars)
+        assert list(zip(excess.tolist(), negative.tolist())) == scalars
+        assert negative.tolist() == [False, False, True, True, False]

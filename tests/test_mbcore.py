@@ -52,6 +52,21 @@ class TestGap:
     def test_gap_constant_model(self):
         assert mbcore.gap_at_temperature(DELTA0, 3.0, 10.7, model="constant") == DELTA0
 
+    @pytest.mark.parametrize("model", ["bcs_tanh", "constant"])
+    def test_gap_array_matches_scalar_calls(self, model):
+        temps = np.array([0.0, 0.12, 10.7 / 3.0, 5.0, 0.999 * 10.7])
+        arr = mbcore.gap_at_temperature(DELTA0, temps, 10.7, model)
+        scalars = [mbcore.gap_at_temperature(DELTA0, t, 10.7, model) for t in temps.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert arr.tolist() == scalars
+        assert arr[0] == DELTA0
+
+    def test_gap_one_bad_element_raises(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            mbcore.gap_at_temperature(DELTA0, [0.5, -0.1, 1.0], 10.7)
+        with pytest.raises(ValueError, match="gap closed"):
+            mbcore.gap_at_temperature(DELTA0, [0.5, 10.7, 1.0], 10.7)
+
     @given(st.floats(min_value=0.01, max_value=0.98))
     def test_gap_monotone_nonincreasing(self, frac):
         tc = 10.7

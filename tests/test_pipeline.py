@@ -401,6 +401,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfgmod.config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("tls", "beta_exp", 2.0),
+            ("tls", "n_c", -1.0),
+            ("tls", "f_delta0", 0.0),
+            ("run", "frequency_hz", -1.0),
+            ("run", "qc_mag", -5.0),
+            ("run", "temperatures", [0.12, 0.0, 1.0]),
+            ("fit", "t_ref_kelvin", -3.0),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, section, key, value):
+        doc = self.good_doc()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=section):
+            cfgmod.config_from_dict(doc)
+
     def test_missing_section_flagged_on_require(self):
         doc = self.good_doc()
         del doc["tls"]

@@ -225,6 +225,10 @@ class TestSweepAnalyze:
         dup[1].temperature_k = dup[0].temperature_k
         with pytest.raises(InputError, match="distinct"):
             dataset_from_config(dup, config)
+        dup[0].source, dup[1].source = "a.csv", "b.csv"
+        clash = rf"a\.csv and b\.csv are both at {dup[0].temperature_k} K"
+        with pytest.raises(InputError, match=clash):
+            dataset_from_config(dup, config)
 
 
 class TestEmitReport:
