@@ -33,26 +33,21 @@ from .pipeline.io import (
     TRACE_SUFFIXES, ingest_rt, ingest_s21, read_bytes, write_s21_csv,
 )
 from .pipeline.parallel import ordered_map
-from .pipeline.report import emit_report, fit_record, to_json
+from .pipeline.report import emit_report, fit_record, table_text, to_json
 from .pipeline.sweep import dataset_from_config, sweep_analyze
 from .pipeline.xrd import CU_KALPHA1_ANGSTROM, lattice_constant
 from .resfit import NotchParams, S21Trace, fit_notch, synth_trace
 
 
-def _emit(rows, args) -> None:
-    """Print a dict or list of dicts as JSON (default) or CSV."""
+def _emit(record: dict, args) -> None:
+    """Print one record as JSON (default) or as a header and one CSV row."""
     if args.format == "json":
-        print(to_json(rows))
-        return
-    items = rows if isinstance(rows, list) else [rows]
-    if not items:
+        print(to_json(record))
         return
     import csv  # only CSV output pays for the import
 
-    cols = list(items[0].keys())
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(cols)
-    writer.writerows([item.get(c) for c in cols] for item in items)
+    writer.writerows([record, record.values()])
 
 
 def _require_config(args) -> AnalysisConfig:
@@ -85,11 +80,7 @@ def cmd_mb(args) -> int:
         "rs_ohm_sq": zs.rs_ohm,
         "ls_h_sq": zs.ls_henry,
     }
-    rows = [
-        dict(zip(columns, row))
-        for row in zip(*(c.tolist() for c in columns.values()))
-    ]
-    _emit(rows, args)
+    sys.stdout.write(table_text(columns, args.format))
     return 0
 
 
@@ -168,10 +159,18 @@ def cmd_synth(args) -> int:
         if args.seed is not None:
             config = replace(config, run=replace(config.run, seed=args.seed))
         traces = synth_sweep(config)
-        out_dir = Path(args.out or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
+        named: dict[str, float] = {}
         for trace in traces:
             name = f"s21_T{trace.temperature_k:.4f}K.csv"
+            if name in named:
+                raise ConfigError(
+                    f"run.temperatures {named[name]} K and {trace.temperature_k} K "
+                    f"would both be written to {name}"
+                )
+            named[name] = trace.temperature_k
+        out_dir = Path(args.out or ".")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, trace in zip(named, traces):
             write_s21_csv(out_dir / name, trace)
         print(f"wrote {len(traces)} traces to {out_dir}")
         return 0

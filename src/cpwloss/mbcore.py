@@ -109,6 +109,13 @@ def gap_at_zero(tc_kelvin: float) -> float:
     return BCS_GAP_RATIO * KB_EV * tc_kelvin
 
 
+def _require_below_tc(t: np.ndarray, tc_kelvin: float) -> None:
+    if np.any(t >= tc_kelvin):
+        raise ValueError(
+            f"T = {t.max()} K >= Tc = {tc_kelvin} K: gap closed, model invalid"
+        )
+
+
 def gap_at_temperature(
     delta0_ev: float, t_kelvin, tc_kelvin: float, model: str = "bcs_tanh"
 ):
@@ -126,10 +133,7 @@ def gap_at_temperature(
     t = np.asarray(t_kelvin, dtype=float)
     if np.any(t < 0):
         raise ValueError("temperature must be >= 0")
-    if np.any(t >= tc_kelvin):
-        raise ValueError(
-            f"T = {t.max()} K >= Tc = {tc_kelvin} K: gap closed, model invalid"
-        )
+    _require_below_tc(t, tc_kelvin)
     if model == "constant":
         gap = np.full(t.shape, delta0_ev)
     else:
@@ -301,8 +305,11 @@ def complex_conductivity(
     """Film conductivity record at angular frequency omega.
 
     ``t_kelvin`` is one temperature or an array of them; the record's
-    conductivity fields then have its shape.
+    conductivity fields then have its shape. Every temperature must lie
+    below ``params.tc_kelvin``: the closed forms hold delta0 fixed, so they
+    give no warning of their own once the gap has closed.
     """
+    _require_below_tc(np.asarray(t_kelvin, dtype=float), params.tc_kelvin)
     s1n, s2n = mb_sigma_norm(
         t_kelvin, omega_rad, params.delta0_ev, sigma2_prefactor=sigma2_prefactor
     )

@@ -2,7 +2,8 @@
 
 This module is the one place that knows the output layout: the fit block
 (shared with ``cpwloss fit``), the per-temperature entries of report.json,
-and the CSV columns, each of which is a field of those entries.
+the CSV columns, each of which is a field of those entries, and the text
+of the ``cpwloss mb`` table.
 
 Identical analyses produce byte-identical files: floats are serialized via
 their shortest round-trip repr, key order is fixed, NaN/inf map to null
@@ -80,9 +81,36 @@ def to_json(obj) -> str:
     try:
         return json.dumps(obj, indent=2, allow_nan=False)
     except ValueError:
-        # some float is NaN or inf; copying the tree only then keeps large
-        # tables (cpwloss mb) from being held twice
+        # some float is NaN or inf; copying the tree only then spares
+        # report.json, already made finite, a second walk
         return json.dumps(_finite(obj), indent=2, allow_nan=False)
+
+
+def table_text(columns: dict, fmt: str) -> str:
+    """A table of equal-length float arrays, keyed by column name, as stdout
+    text with its final newline.
+
+    ``fmt="json"`` gives the bytes of ``json.dumps(rows, indent=2)`` over one
+    flat object per row, with NaN/inf as null; an empty table is ``[]``.
+    ``fmt="csv"`` gives a header row and one line per row, with NaN/inf as
+    an empty cell; an empty table is no text at all. The text is built per
+    column, from one ``tolist()`` and one formatting pass each, so no row
+    object is made and no JSON encoder runs.
+    """
+    null = "null" if fmt == "json" else ""
+    isfinite = math.isfinite
+    rows = zip(*(
+        [repr(v) if isfinite(v) else null for v in c.tolist()]
+        for c in columns.values()
+    ))
+    if fmt == "csv":
+        lines = [",".join(row) for row in rows]
+        return "\n".join([",".join(columns), *lines, ""]) if lines else ""
+    # one indent=2 object per row; a % in a key must not act as a format
+    keys = (json.dumps(name).replace("%", "%%") for name in columns)
+    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+    body = ",\n".join(map(template.__mod__, rows))
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def fit_record(result: NotchFitResult) -> dict:

@@ -213,6 +213,43 @@ class TestMb:
         else:
             assert len(json.loads(out)) == 30
 
+    def test_csv_is_the_json_rows_through_csv_writer(self, capsys, sweep_setup):
+        cfg_path, _ = sweep_setup
+        grid = ("--config", str(cfg_path), "--tmin", "0.2", "--tmax", "9.0", "--points", "41")
+        rc_json, out_json, _ = run_cli(capsys, "mb", *grid)
+        rc_csv, out_csv, _ = run_cli(capsys, "mb", *grid, "--format", "csv")
+        assert rc_json == rc_csv == 0
+        rows = json.loads(out_json)
+        assert all(v is not None for row in rows for v in row.values())
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
+        assert out_csv == want.getvalue()
+
+    @pytest.mark.parametrize("above", [0.0, 9.3])
+    def test_grid_reaching_tc_is_input_error(self, capsys, sweep_setup, above):
+        cfg_path, _ = sweep_setup
+        tc = json.loads(cfg_path.read_text())["material"]["tc_kelvin"]
+        rc, out, err = run_cli(
+            capsys, "mb", "--config", str(cfg_path), "--tmax", repr(tc + above),
+        )
+        assert rc == 1
+        assert out == ""
+        assert "gap closed" in err
+
+    def test_grid_just_below_tc_runs(self, capsys, sweep_setup):
+        cfg_path, _ = sweep_setup
+        tc = json.loads(cfg_path.read_text())["material"]["tc_kelvin"]
+        tmax = float(np.nextafter(tc, 0.0))
+        rc, out, _ = run_cli(
+            capsys, "mb", "--config", str(cfg_path), "--tmax", repr(tmax),
+        )
+        assert rc == 0
+        rows = json.loads(out)
+        assert rows[-1]["temperature_k"] == tmax
+        assert all(v is not None for v in rows[-1].values())
+
 
 class TestSweepCommand:
     def test_full_run_and_determinism(self, capsys, tmp_path, sweep_setup):
@@ -323,6 +360,23 @@ class TestSweepCommand:
         )
         assert rc == 0
         assert len(list(out_dir.glob("*.csv"))) == 6
+
+    def test_synth_sweep_name_collision_is_config_error(self, capsys, tmp_path, sweep_setup):
+        # 0.12 and 0.12003 K both round to s21_T0.1200K.csv
+        cfg_path, _ = sweep_setup
+        doc = json.loads(cfg_path.read_text())
+        doc["run"]["temperatures"] = [0.12, 0.12003, 0.5]
+        cfg = tmp_path / "collide.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "collide"
+        rc, out, err = run_cli(
+            capsys, "synth", "--kind", "sweep", "--config", str(cfg),
+            "--out", str(out_dir),
+        )
+        assert rc == 3
+        assert out == ""
+        assert "0.12 K" in err and "0.12003 K" in err and "s21_T0.1200K.csv" in err
+        assert not out_dir.exists()
 
 
 def run_probe(probe: str, *args: str) -> list[str]:

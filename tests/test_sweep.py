@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cpwloss.constants import M3_TO_UM3, angular_frequency
 from cpwloss.errors import FitError, InputError
@@ -19,7 +23,7 @@ from cpwloss.pipeline.forward import (
     theory_chain,
     tls_f_delta0_for_q,
 )
-from cpwloss.pipeline.report import emit_report, report_to_dict
+from cpwloss.pipeline.report import emit_report, report_to_dict, table_text
 from cpwloss.pipeline.sweep import dataset_from_config, sweep_analyze
 from cpwloss.resfit import S21Trace
 
@@ -325,3 +329,55 @@ class TestEmitReport:
         emit_report(report, out)
         lines = (out / "qi_vs_T.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + len(report.entries)
+
+
+MB_COLUMNS = (
+    "temperature_k", "sigma1_norm", "sigma2_norm", "sigma1_s_per_m",
+    "sigma2_s_per_m", "rs_ohm_sq", "ls_h_sq",
+)
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, 2.5e-310, -1e-310, 1e16, 1e-5, 1e-4, 1e15,
+    1.2345678901234568e17, math.nan, math.inf, -math.inf,
+)
+_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def float_tables(draw, names=st.lists(st.text(), min_size=1, max_size=4, unique=True)):
+    keys = draw(names)
+    n = draw(st.integers(0, 6))
+    return {k: np.array(draw(st.lists(_floats, min_size=n, max_size=n)), dtype=float)
+            for k in keys}
+
+
+def _finite_rows(columns):
+    return [
+        {k: v if math.isfinite(v) else None for k, v in zip(columns, row)}
+        for row in zip(*(c.tolist() for c in columns.values()))
+    ]
+
+
+class TestTableText:
+    """The mb table text against the generic encoders it stands in for."""
+
+    @given(float_tables())
+    @example({"temperature_k": np.array([])})
+    @example({"temperature_k": np.array([0.5]), "sigma1_norm": np.array([-0.0])})
+    @example({"edge": np.array(EDGE_FLOATS), "%s \"q\",\n\u00e9": -np.array(EDGE_FLOATS)})
+    def test_json_matches_json_dumps(self, columns):
+        want = json.dumps(_finite_rows(columns), indent=2, allow_nan=False) + "\n"
+        assert table_text(columns, "json") == want
+
+    @given(float_tables(names=st.just(list(MB_COLUMNS))))
+    @example({k: np.roll(EDGE_FLOATS, i) for i, k in enumerate(MB_COLUMNS)})
+    def test_csv_matches_csv_writer(self, columns):
+        # NaN/inf are an empty cell, as None is for csv.writer; the mb
+        # table's 7 columns keep a row from being one lone empty field,
+        # which csv.writer would quote
+        rows = _finite_rows(columns)
+        want = io.StringIO()
+        if rows:
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(r.values() for r in rows)
+        assert table_text(columns, "csv") == want.getvalue()
