@@ -43,11 +43,8 @@ def _emit(record: dict, args) -> None:
     """Print one record as JSON (default) or as a header and one CSV row."""
     if args.format == "json":
         print(to_json(record))
-        return
-    import csv  # only CSV output pays for the import
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerows([record, record.values()])
+    else:
+        sys.stdout.write(table_text({k: [v] for k, v in record.items()}, "csv"))
 
 
 def _require_config(args) -> AnalysisConfig:
@@ -87,11 +84,9 @@ def cmd_mb(args) -> int:
 def cmd_fit(args) -> int:
     trace = ingest_s21(args.trace, fmt=args.trace_format)
     out = {"source": trace.source, **fit_record(fit_notch(trace))}
-    if args.format == "csv":
-        flat = {k: v for k, v in out.items() if not isinstance(v, (dict, list))}
-        _emit(flat, args)
-    else:
-        _emit(out, args)
+    if args.format == "csv":  # the stderr and flags blocks have no CSV cell
+        out = {k: v for k, v in out.items() if not isinstance(v, (dict, list))}
+    _emit(out, args)
     return 0
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import DataQualityWarning, InputError
 from ..resfit import S21Trace
+from .report import table_text
 
 _CSV_HEADERS = {
     "freq_hz,s21_re,s21_im": "ri",
@@ -247,16 +248,10 @@ def ingest_s21(path: str | Path, fmt: str = "auto", data: bytes | None = None) -
 
 def write_s21_csv(path: str | Path, trace: S21Trace) -> None:
     """Write a trace in the re/im CSV format, with metadata comments."""
-    p = Path(path)
-    lines = []
-    if trace.temperature_k is not None:
-        lines.append(f"# temperature_K={trace.temperature_k!r}")
-    if trace.power_dbm is not None:
-        lines.append(f"# power_dbm={trace.power_dbm!r}")
-    lines.append("freq_hz,s21_re,s21_im")
-    for f, z in zip(trace.freq_hz, trace.s21):
-        lines.append(f"{float(f)!r},{float(z.real)!r},{float(z.imag)!r}")
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tags = {"temperature_K": trace.temperature_k, "power_dbm": trace.power_dbm}
+    text = "".join(f"# {k}={v!r}\n" for k, v in tags.items() if v is not None)
+    columns = {"freq_hz": trace.freq_hz, "s21_re": trace.s21.real, "s21_im": trace.s21.imag}
+    Path(path).write_text(text + table_text(columns, "csv"), encoding="utf-8")
 
 
 def ingest_rt(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

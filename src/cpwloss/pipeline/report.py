@@ -1,21 +1,23 @@
-"""Deterministic report emission: report.json plus plot-ready CSV tables.
+"""Deterministic report emission: every JSON and CSV byte cpwloss writes.
 
 This module is the one place that knows the output layout: the fit block
 (shared with ``cpwloss fit``), the per-temperature entries of report.json,
-the CSV columns, each of which is a field of those entries, and the text
-of the ``cpwloss mb`` table.
+the CSV columns, each of which is a field of those entries, and the tables
+and records the CLI prints.
 
-Identical analyses produce byte-identical files: floats are serialized via
-their shortest round-trip repr, key order is fixed, NaN/inf map to null
-(an empty CSV cell), and entries are sorted by temperature. CSV schemas
+Identical analyses produce byte-identical files: one cell rule writes every
+scalar (``_number``), JSON is laid out as ``json.dumps(indent=2)`` lays it
+out, key order is fixed, and entries are sorted by temperature. CSV schemas
 are versioned in the report's provenance block.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict
+from functools import reduce
+from json.encoder import encode_basestring_ascii
+from operator import getitem
 from pathlib import Path
 
 from ..resfit import NotchFitResult
@@ -59,58 +61,77 @@ _CSV_COLUMNS = {
     ),
 }
 
-CSV_SCHEMAS = {
-    name: ",".join(header for header, _ in columns)
-    for name, columns in _CSV_COLUMNS.items()
-}
+
+def _number(v, null: str, bools: tuple[str, str]) -> str:
+    """The cell rule for all but a str; None, NaN and +-inf are ``null``."""
+    if v is None:
+        return null
+    if isinstance(v, bool):
+        return bools[v]
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return float.__repr__(v) if math.isfinite(v) else null
+    raise TypeError(f"{type(v).__name__} is not a JSON or CSV cell")
 
 
-def _finite(obj):
-    """Copy of a JSON tree with every NaN/inf float replaced by None."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return obj
+def _json_cell(v) -> str:
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    return _number(v, "null", ("false", "true"))
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, str):  # quoted only when it holds , " CR or LF
+        return '"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\r\n') else v
+    return _number(v, "", ("0", "1"))
+
+
+def _layout(items: list[str], brackets: str) -> str:
+    """Items of an object or array, laid out as indent=2 JSON lays them out:
+    no JSON text holds a raw newline, so each one starts a line to indent."""
+    if not items:
+        return brackets
+    body = ",\n".join(items).replace("\n", "\n  ")
+    return f"{brackets[0]}\n  {body}\n{brackets[1]}"
 
 
 def to_json(obj) -> str:
-    """Strict JSON text for report.json and CLI stdout: NaN/inf become null."""
-    try:
-        return json.dumps(obj, indent=2, allow_nan=False)
-    except ValueError:
-        # some float is NaN or inf; copying the tree only then spares
-        # report.json, already made finite, a second walk
-        return json.dumps(_finite(obj), indent=2, allow_nan=False)
+    """Strict JSON for report.json and CLI stdout, without a final newline:
+    the text of ``json.dumps(obj, indent=2)``, with NaN/inf as null."""
+    if isinstance(obj, dict):
+        # encode_basestring_ascii raises TypeError for a key that is not a str
+        items = [f"{encode_basestring_ascii(k)}: {to_json(v)}" for k, v in obj.items()]
+        return _layout(items, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _layout(list(map(to_json, obj)), "[]")
+    return _json_cell(obj)
+
+
+def _cells(column, cell) -> list[str]:
+    if getattr(column, "dtype", None) != float:
+        return [cell(v) for v in column]
+    # a float64 array: one tolist() and one repr per cell
+    null, isfinite = cell(None), math.isfinite
+    return [repr(v) if isfinite(v) else null for v in column.tolist()]
 
 
 def table_text(columns: dict, fmt: str) -> str:
-    """A table of equal-length float arrays, keyed by column name, as stdout
-    text with its final newline.
-
-    ``fmt="json"`` gives the bytes of ``json.dumps(rows, indent=2)`` over one
-    flat object per row, with NaN/inf as null; an empty table is ``[]``.
-    ``fmt="csv"`` gives a header row and one line per row, with NaN/inf as
-    an empty cell; an empty table is no text at all. The text is built per
-    column, from one ``tolist()`` and one formatting pass each, so no row
-    object is made and no JSON encoder runs.
-    """
-    null = "null" if fmt == "json" else ""
-    isfinite = math.isfinite
-    rows = zip(*(
-        [repr(v) if isfinite(v) else null for v in c.tolist()]
-        for c in columns.values()
-    ))
+    """Equal-length columns, keyed by name, as text with a final newline: a
+    JSON array of one flat object per row, or a CSV header row and one line
+    per row. A column is a float64 array or a list of cells; no row object
+    is made."""
+    names = [encode_basestring_ascii(name) for name in columns]  # str names only
+    cell = _json_cell if fmt == "json" else _csv_cell
+    rows = zip(*(_cells(c, cell) for c in columns.values()))
     if fmt == "csv":
-        lines = [",".join(row) for row in rows]
-        return "\n".join([",".join(columns), *lines, ""]) if lines else ""
-    # one indent=2 object per row; a % in a key must not act as a format
-    keys = (json.dumps(name).replace("%", "%%") for name in columns)
-    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    body = ",\n".join(map(template.__mod__, rows))
-    return f"[\n{body}\n]\n" if body else "[]\n"
+        # a lone empty cell is written "", as csv.writer writes it
+        lines = [",".join(row) or '""' for row in (map(_csv_cell, columns), *rows)]
+        return "\n".join(lines) + "\n"
+    # one template per row object; a % in a name must not act as a format
+    template = _layout([name.replace("%", "%%") + ": %s" for name in names], "{}")
+    body = ",\n  ".join(map(template.replace("\n", "\n  ").__mod__, rows))
+    return f"[\n  {body}\n]\n" if body else "[]\n"
 
 
 def fit_record(result: NotchFitResult) -> dict:
@@ -145,34 +166,19 @@ def _entry_to_dict(e: TemperatureEntry) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    """The report.json document, with every NaN/inf already null."""
-    return _finite({
+    """The report.json document; the writer maps its NaN/inf to null."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "provenance": {
             **report.provenance,
-            "csv_schemas": dict(sorted(CSV_SCHEMAS.items())),
+            "csv_schemas": {
+                name: ",".join(header for header, _ in columns)
+                for name, columns in sorted(_CSV_COLUMNS.items())
+            },
         },
         "derived": report.derived,
         "per_temperature": [_entry_to_dict(e) for e in report.entries],
         "failures": [asdict(f) for f in report.failures],
-    })
-
-
-def _cell(entry: dict, path: str) -> str:
-    for key in path.split("."):
-        entry = entry[key]
-    if entry is None:
-        return ""
-    if isinstance(entry, bool):
-        return "1" if entry else "0"
-    return repr(float(entry))
-
-
-def _csv_rows(entries: list[dict]) -> dict[str, list[str]]:
-    return {
-        name: [CSV_SCHEMAS[name]]
-        + [",".join(_cell(e, path) for _, path in columns) for e in entries]
-        for name, columns in _CSV_COLUMNS.items()
     }
 
 
@@ -185,15 +191,12 @@ def emit_report(report: AnalysisReport, out_dir: str | Path) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     doc = report_to_dict(report)
-    json_path = out / "report.json"
-    json_path.write_text(to_json(doc) + "\n", encoding="utf-8")
-    written.append(json_path)
     entries = doc["per_temperature"]
-    if entries:
-        for name, lines in _csv_rows(entries).items():
-            path = out / name
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(path)
-    return written
+    texts = {"report.json": to_json(doc) + "\n"}
+    for name, columns in _CSV_COLUMNS.items() if entries else ():
+        cells = {h: [reduce(getitem, p.split("."), e) for e in entries] for h, p in columns}
+        texts[name] = table_text(cells, "csv")
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name in texts]

@@ -30,8 +30,9 @@ from .parallel import ordered_map
 class SweepDataset:
     """Input bundle for one temperature sweep.
 
-    Traces without a temperature tag are set aside in ``untagged``; the
-    analysis reports each one as a failure.
+    Traces at or above the film's Tc (ascending), then untagged traces, are
+    set aside in ``set_aside`` with the reason; the analysis reports each
+    one as a failure.
     """
 
     traces: list[S21Trace]
@@ -39,14 +40,19 @@ class SweepDataset:
     geometry: CpwGeometry
     tls: TlsSettings
     fit: FitSettings = field(default_factory=FitSettings)
-    untagged: list[S21Trace] = field(init=False)
+    set_aside: list[tuple[S21Trace, str]] = field(init=False)
 
     def __post_init__(self) -> None:
+        tc = self.material.tc_kelvin
         tagged = [tr for tr in self.traces if tr.temperature_k is not None]
-        self.untagged = [tr for tr in self.traces if tr.temperature_k is None]
-        if len(tagged) < 2:
-            raise InputError("sweep needs at least 2 temperature-tagged traces")
-        self.traces = sorted(tagged, key=lambda tr: tr.temperature_k)
+        tagged.sort(key=lambda tr: tr.temperature_k)
+        self.set_aside = [
+            (tr, f"T = {tr.temperature_k} K >= Tc = {tc} K: gap closed, model invalid")
+            for tr in tagged if tr.temperature_k >= tc
+        ] + [(tr, "no temperature tag") for tr in self.traces if tr.temperature_k is None]
+        self.traces = [tr for tr in tagged if tr.temperature_k < tc]
+        if len(self.traces) < 2:
+            raise InputError("sweep needs at least 2 temperature-tagged traces below Tc")
         for a, b in zip(self.traces, self.traces[1:]):
             if b.temperature_k <= a.temperature_k:
                 raise InputError(
@@ -138,7 +144,7 @@ def _fit_or_error(trace: S21Trace) -> NotchFitResult | FitError:
 def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> AnalysisReport:
     """Fit every trace and decompose the loss budget per temperature.
 
-    Unfittable and untagged traces degrade to failure entries; the analysis
+    Unfittable and set-aside traces degrade to failure entries; the analysis
     fails only when no trace fits. The reference trace is the coldest
     successful one, or, with ``fit.t_ref_kelvin`` set, the successful trace
     nearest that temperature. The theory chain (conductivity, surface
@@ -155,7 +161,7 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
         FailureEntry(trace.source, trace.temperature_k, str(r))
         for trace, r in results
         if isinstance(r, FitError)
-    ] + [FailureEntry(tr.source, None, "no temperature tag") for tr in dataset.untagged]
+    ] + [FailureEntry(tr.source, tr.temperature_k, why) for tr, why in dataset.set_aside]
     if not fits:
         raise FitError("no trace in the sweep could be fitted")
 

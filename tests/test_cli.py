@@ -123,13 +123,19 @@ class TestFitAndSynth:
         assert doc["fr_hz"] == pytest.approx(p.fr_hz, rel=1e-6)
         assert doc["qi"] == pytest.approx(p.qi, rel=1e-3)
 
-    def test_nonphysical_fit_prints_strict_json(self, capsys, tmp_path):
+    @staticmethod
+    def _nonphysical_trace(capsys, tmp_path):
+        # Ql above |Qc|: the fit is flagged nonphysical_qi and qi is inf
         path = tmp_path / "t.csv"
         rc, _, _ = run_cli(
             capsys, "synth", "--ql", "1.2e5", "--qc", "1e5", "--phi", "0.5",
             "--points", "2001", "--out", str(path),
         )
         assert rc == 0
+        return path
+
+    def test_nonphysical_fit_prints_strict_json(self, capsys, tmp_path):
+        path = self._nonphysical_trace(capsys, tmp_path)
         rc, out, _ = run_cli(capsys, "fit", str(path))
         assert rc == 0
 
@@ -139,6 +145,14 @@ class TestFitAndSynth:
         doc = json.loads(out, parse_constant=reject)
         assert doc["flags"] == ["nonphysical_qi"]
         assert doc["qi"] is None and doc["stderr"]["qi"] is None
+
+    def test_nonphysical_fit_csv_leaves_qi_empty(self, capsys, tmp_path):
+        path = self._nonphysical_trace(capsys, tmp_path)
+        rc, out, _ = run_cli(capsys, "fit", str(path), "--format", "csv")
+        assert rc == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert row[header.index("qi")] == ""
+        assert float(row[header.index("ql")]) > 0
 
     def test_synth_single_trace(self, capsys, tmp_path):
         out_file = tmp_path / "synth.csv"
@@ -226,6 +240,17 @@ class TestMb:
         writer.writerow(rows[0])
         writer.writerows(row.values() for row in rows)
         assert out_csv == want.getvalue()
+
+    def test_empty_csv_is_the_header_row(self, capsys, sweep_setup):
+        cfg_path, _ = sweep_setup
+        rc, out, _ = run_cli(
+            capsys, "mb", "--config", str(cfg_path), "--points", "0", "--format", "csv",
+        )
+        assert rc == 0
+        assert out == (
+            "temperature_k,sigma1_norm,sigma2_norm,sigma1_s_per_m,"
+            "sigma2_s_per_m,rs_ohm_sq,ls_h_sq\n"
+        )
 
     @pytest.mark.parametrize("above", [0.0, 9.3])
     def test_grid_reaching_tc_is_input_error(self, capsys, sweep_setup, above):
@@ -334,6 +359,45 @@ class TestSweepCommand:
         ]
         reported = {e["source"] for e in report["per_temperature"] + report["failures"]}
         assert reported == {i["path"] for i in report["provenance"]["inputs"]}
+
+    def test_trace_at_or_above_tc_is_a_failure(self, capsys, tmp_path, sweep_setup):
+        # the other traces report as they do without the hot ones, which
+        # are listed between fit failures (none here) and untagged traces,
+        # in ascending temperature
+        cfg_path, traces_dir = sweep_setup
+        tc = json.loads(cfg_path.read_text())["material"]["tc_kelvin"]
+        mixed = tmp_path / "mixed"
+        shutil.copytree(traces_dir, mixed)
+        header, *body = sorted(mixed.glob("*.csv"))[0].read_text().splitlines(keepends=True)
+        assert header.startswith("# temperature_K=")
+        hot = {mixed / "hot_a.csv": tc + 0.3, mixed / "hot_b.csv": tc}
+        for path, t in hot.items():
+            path.write_text(f"# temperature_K={t!r}\n" + "".join(body))
+        (mixed / "untagged.csv").write_text("".join(body))
+        runs = {}
+        for name, inputs in (("plain", traces_dir), ("mixed", mixed)):
+            rc, _, err = run_cli(
+                capsys, "sweep", str(inputs), "--config", str(cfg_path),
+                "--out", str(tmp_path / name),
+            )
+            assert rc == 0, err
+            runs[name] = json.loads((tmp_path / name / "report.json").read_text())
+        plain, report = runs["plain"], runs["mixed"]
+        assert report["failures"] == [
+            {
+                "source": str(path), "temperature_k": t,
+                "error": f"T = {t!r} K >= Tc = {tc!r} K: gap closed, model invalid",
+            }
+            for path, t in reversed(hot.items())
+        ] + [
+            {"source": str(mixed / "untagged.csv"), "temperature_k": None,
+             "error": "no temperature tag"}
+        ]
+        assert report["per_temperature"] == [
+            {**e, "source": e["source"].replace(str(traces_dir), str(mixed))}
+            for e in plain["per_temperature"]
+        ]
+        assert report["derived"] == plain["derived"]
 
     def test_fit_prints_the_reports_fit_block(self, capsys, tmp_path, sweep_setup):
         cfg_path, traces_dir = sweep_setup

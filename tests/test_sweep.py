@@ -23,7 +23,7 @@ from cpwloss.pipeline.forward import (
     theory_chain,
     tls_f_delta0_for_q,
 )
-from cpwloss.pipeline.report import emit_report, report_to_dict, table_text
+from cpwloss.pipeline.report import emit_report, report_to_dict, table_text, to_json
 from cpwloss.pipeline.sweep import dataset_from_config, sweep_analyze
 from cpwloss.resfit import S21Trace
 
@@ -234,6 +234,15 @@ class TestSweepAnalyze:
         with pytest.raises(InputError, match=clash):
             dataset_from_config(dup, config)
 
+    def test_only_traces_below_tc_count_toward_two(self, analyzed):
+        config, traces, _ = analyzed
+        import copy
+
+        pair = copy.deepcopy(traces[:2])
+        pair[1].temperature_k = config.material.tc_kelvin
+        with pytest.raises(InputError, match="at least 2"):
+            dataset_from_config(pair, config)
+
 
 class TestEmitReport:
     def test_deterministic_bytes(self, analyzed, tmp_path):
@@ -275,7 +284,7 @@ class TestEmitReport:
         out = tmp_path / "cols"
         emit_report(report, out)
         doc = json.loads((out / "report.json").read_text())
-        assert doc == report_to_dict(report)
+        assert doc == json.loads(to_json(report_to_dict(report)))
         t = ("temperature_k",)
         columns = {
             "qi_vs_T.csv": {
@@ -371,13 +380,95 @@ class TestTableText:
     @given(float_tables(names=st.just(list(MB_COLUMNS))))
     @example({k: np.roll(EDGE_FLOATS, i) for i, k in enumerate(MB_COLUMNS)})
     def test_csv_matches_csv_writer(self, columns):
-        # NaN/inf are an empty cell, as None is for csv.writer; the mb
-        # table's 7 columns keep a row from being one lone empty field,
-        # which csv.writer would quote
-        rows = _finite_rows(columns)
+        # NaN/inf are an empty cell, as None is for csv.writer; an empty
+        # table is its header row
         want = io.StringIO()
-        if rows:
-            writer = csv.writer(want, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(r.values() for r in rows)
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(r.values() for r in _finite_rows(columns))
         assert table_text(columns, "csv") == want.getvalue()
+
+
+_strings = st.one_of(
+    st.text(),
+    st.sampled_from(["", "%s", "%%", '"q"', "a,b", "\\", "\x00\x1f\x7f", "\r\n",
+                     "\r", "\n", "\u00e9\u20ac\U0001f600", "\u2028"]),
+)
+_cells = st.one_of(st.none(), st.booleans(), st.integers(), _floats, _strings)
+_json_trees = st.recursive(
+    st.one_of(_cells, _floats.map(np.float64)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_strings, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _null_nonfinite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_nonfinite(v) for v in obj]
+    return obj
+
+
+@st.composite
+def cell_tables(draw):
+    names = draw(st.lists(_strings, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 4))
+    return {k: draw(st.lists(_cells, min_size=n, max_size=n)) for k in names}
+
+
+class TestWriter:
+    """report.py's writer against the stdlib encoders it stands in for."""
+
+    @given(_json_trees)
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": (), "d": [{}, [[]]]})
+    @example({"edge": list(EDGE_FLOATS), "np": [np.float64(v) for v in EDGE_FLOATS]})
+    def test_json_matches_json_dumps(self, obj):
+        want = json.dumps(_null_nonfinite(obj), indent=2, allow_nan=False)
+        assert to_json(obj) == want
+
+    @pytest.mark.parametrize(
+        "obj",
+        [np.int64(1), np.bool_(True), {1.0}, b"x", {1: "a"}, {"a": [np.int64(1)]}],
+        ids=["np.int64", "np.bool_", "set", "bytes", "int key", "nested"],
+    )
+    def test_other_types_are_type_errors(self, obj):
+        with pytest.raises(TypeError):
+            to_json(obj)
+        with pytest.raises(TypeError):
+            table_text({"a": [obj]}, "csv")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_column_name_that_is_not_a_str_is_a_type_error(self, fmt):
+        with pytest.raises(TypeError):
+            table_text({1: [1.0]}, fmt)
+
+    @given(cell_tables())
+    @example({"a": [None, ""], "b,\"c\"": ["x\ny", "\r"]})
+    @example({"a": [None, math.nan, "", True, False, 0]})
+    def test_csv_reads_back_and_matches_csv_writer(self, columns):
+        # csv.writer is given the cell rule's value: None for null, an int
+        # for a bool
+        def written(v):
+            if v is None or isinstance(v, float) and not math.isfinite(v):
+                return None
+            return int(v) if isinstance(v, bool) else v
+
+        rows = [list(columns)]
+        rows += zip(*([written(v) for v in c] for c in columns.values()))
+        text = table_text(columns, "csv")
+        want = [["" if v is None else str(v) for v in row] for row in rows]
+        assert list(csv.reader(io.StringIO(text, newline=""))) == want
+        ref = io.StringIO()
+        csv.writer(ref, lineterminator="\n").writerows(rows)
+        # Python 3.11's writer leaves a bare CR unquoted
+        if "\r" not in ref.getvalue():
+            assert text == ref.getvalue()
