@@ -19,7 +19,7 @@ import numpy as np
 from cpwloss.pipeline.config import config_from_dict
 from cpwloss.pipeline.forward import calibrate_sweep_config, synth_sweep
 from cpwloss.pipeline.report import emit_report
-from cpwloss.pipeline.sweep import dataset_from_config, sweep_analyze
+from cpwloss.pipeline.sweep import sweep_analyze
 
 
 def main() -> int:
@@ -41,7 +41,7 @@ def main() -> int:
     print(f"TLS strength F*delta0 = {doc['tls']['f_delta0']:.4e}")
 
     traces = synth_sweep(config)
-    report = sweep_analyze(dataset_from_config(traces, config))
+    report = sweep_analyze(traces, config)
 
     print(f"\n{'T (K)':>7} {'Qi_meas':>10} {'Qi_theory':>10} "
           f"{'df (kHz)':>10} {'nqp_th (um^-3)':>15}")

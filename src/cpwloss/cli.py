@@ -34,7 +34,7 @@ from .pipeline.io import (
 )
 from .pipeline.parallel import ordered_map
 from .pipeline.report import emit_report, fit_record, table_text, to_json
-from .pipeline.sweep import dataset_from_config, sweep_analyze
+from .pipeline.sweep import sweep_analyze
 from .pipeline.xrd import CU_KALPHA1_ANGSTROM, lattice_constant
 from .resfit import NotchParams, S21Trace, fit_notch, synth_trace
 
@@ -111,7 +111,6 @@ def cmd_sweep(args) -> int:
     files = _collect_inputs(args.inputs)
     work_bytes = sum(f.stat().st_size for f in files)
     traces, digests = zip(*ordered_map(_read_trace, files, work_bytes))
-    dataset = dataset_from_config(traces, config)
     provenance = {
         "tool": "cpwloss",
         "tool_version": __version__,
@@ -120,7 +119,7 @@ def cmd_sweep(args) -> int:
             {"path": str(f), "sha256": d} for f, d in zip(files, digests)
         ],
     }
-    report = sweep_analyze(dataset, provenance=provenance)
+    report = sweep_analyze(traces, config, provenance=provenance)
     out_dir = Path(args.out or ".")
     written = emit_report(report, out_dir)
     print(
@@ -228,23 +227,24 @@ def build_parser() -> argparse.ArgumentParser:
         "superconducting CPW resonators",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to the JSON configuration document")
-    common.add_argument("--out", help="output directory (or file for synth traces)")
-    common.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    common.add_argument(
+    # each subcommand takes only the shared flags it reads
+    config, out, seed, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config.add_argument("--config", help="path to the JSON configuration document")
+    out.add_argument("--out", help="output directory (or file for synth traces)")
+    seed.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+    fmt.add_argument(
         "--format", choices=("json", "csv"), default="json", help="stdout format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mb = sub.add_parser("mb", parents=[common], help="conductivity table vs T")
+    p_mb = sub.add_parser("mb", parents=[config, fmt], help="conductivity table vs T")
     p_mb.add_argument("--tmin", type=float, default=0.1)
     p_mb.add_argument("--tmax", type=float, default=3.0)
     p_mb.add_argument("--points", type=int, default=30)
     p_mb.add_argument("--freq-hz", type=float, default=5.95e9, dest="freq_hz")
     p_mb.set_defaults(func=cmd_mb)
 
-    p_fit = sub.add_parser("fit", parents=[common], help="fit one S21 trace")
+    p_fit = sub.add_parser("fit", parents=[fmt], help="fit one S21 trace")
     p_fit.add_argument("trace", help="trace file (CSV or .s2p)")
     p_fit.add_argument(
         "--trace-format", choices=("auto", "csv", "touchstone"), default="auto"
@@ -252,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="analyze a temperature sweep"
+        "sweep", parents=[config, out], help="analyze a temperature sweep"
     )
     p_sweep.add_argument("inputs", nargs="+", help="trace files or directories")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_ph = sub.add_parser("photon", parents=[common], help="drive-power budget")
+    p_ph = sub.add_parser("photon", parents=[fmt], help="drive-power budget")
     p_ph.add_argument("--ql", type=float, required=True)
     p_ph.add_argument("--qc", type=float, required=True)
     p_ph.add_argument("--qi", type=float, required=True)
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ph.set_defaults(func=cmd_photon)
 
     p_synth = sub.add_parser(
-        "synth", parents=[common], help="generate synthetic traces"
+        "synth", parents=[config, out, seed], help="generate synthetic traces"
     )
     p_synth.add_argument("--kind", choices=("trace", "sweep"), default="trace")
     p_synth.add_argument("--fr-hz", type=float, default=5.95e9, dest="fr_hz")
@@ -287,11 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--temperature", type=float, default=None)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_dc = sub.add_parser("dc", parents=[common], help="Tc/RRR from an R(T) series")
+    p_dc = sub.add_parser("dc", parents=[fmt], help="Tc/RRR from an R(T) series")
     p_dc.add_argument("rt_file", help="CSV with temperature_K,resistance_ohm")
     p_dc.set_defaults(func=cmd_dc)
 
-    p_xrd = sub.add_parser("xrd", parents=[common], help="cubic lattice constant")
+    p_xrd = sub.add_parser("xrd", parents=[fmt], help="cubic lattice constant")
     p_xrd.add_argument("--two-theta", type=float, required=True, dest="two_theta")
     p_xrd.add_argument("--hkl", type=int, nargs=3, required=True)
     p_xrd.add_argument(

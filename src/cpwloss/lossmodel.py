@@ -26,12 +26,12 @@ from .mbcore import MaterialParams, gap_at_temperature
 
 @dataclass(frozen=True)
 class TlsParams:
-    """Saturable TLS loss parameters at a fixed angular frequency."""
+    """Saturable TLS loss parameters; the frequency is an argument of the
+    loss functions. The config's ``tls`` section builds this record."""
 
     f_delta0: float
     n_c: float
     beta_exp: float
-    omega_rad: float
 
     def __post_init__(self) -> None:
         if self.f_delta0 <= 0:
@@ -40,19 +40,19 @@ class TlsParams:
             raise ValueError("n_c must be positive")
         if not 0.0 < self.beta_exp <= 1.0:
             raise ValueError("beta_exp must be in (0, 1]")
-        if self.omega_rad <= 0:
-            raise ValueError("omega_rad must be positive")
 
 
-def tls_loss(t_kelvin, n_photon: float, p: TlsParams):
-    """TLS loss tangent 1/Q_TLS at temperature T (scalar or array) and drive
-    photon number n."""
+def tls_loss(t_kelvin, n_photon: float, p: TlsParams, omega_rad: float):
+    """TLS loss tangent 1/Q_TLS at temperature T (scalar or array), drive
+    photon number n and angular frequency omega."""
     t = np.asarray(t_kelvin, dtype=float)
     if np.any(t <= 0):
         raise ValueError("temperature must be positive")
     if n_photon < 0:
         raise ValueError("photon number must be >= 0")
-    thermal = np.tanh(HBAR_EVS * p.omega_rad / (2.0 * KB_EV * t))
+    if omega_rad <= 0:
+        raise ValueError("omega_rad must be positive")
+    thermal = np.tanh(HBAR_EVS * omega_rad / (2.0 * KB_EV * t))
     saturation = (1.0 + n_photon / p.n_c) ** p.beta_exp
     return p.f_delta0 * thermal / saturation
 
@@ -65,9 +65,9 @@ def _inverse(x):
     return float(inv) if np.ndim(inv) == 0 else inv
 
 
-def q_tls(t_kelvin, n_photon: float, p: TlsParams):
+def q_tls(t_kelvin, n_photon: float, p: TlsParams, omega_rad: float):
     """TLS quality factor; infinite when the TLS bath is thermally saturated."""
-    return _inverse(tls_loss(t_kelvin, n_photon, p))
+    return _inverse(tls_loss(t_kelvin, n_photon, p, omega_rad))
 
 
 def qi_theory(q_tls_value, delta_qp):

@@ -1,11 +1,11 @@
 """Data ingestion, DC analysis, sweep orchestration and report emission."""
 
-from .config import AnalysisConfig, FitSettings, RunSettings, TlsSettings, load_config
+from .config import AnalysisConfig, FitSettings, RunSettings, load_config
 from .dc import DcExtraction, extract_tc_rrr
 from .forward import calibrate_sweep_config, loss_chain, synth_sweep
 from .io import ingest_rt, ingest_s21, write_s21_csv
 from .report import emit_report, report_to_dict
-from .sweep import AnalysisReport, SweepDataset, dataset_from_config, sweep_analyze
+from .sweep import AnalysisReport, sweep_analyze
 from .xrd import lattice_constant
 
 __all__ = [
@@ -14,10 +14,7 @@ __all__ = [
     "DcExtraction",
     "FitSettings",
     "RunSettings",
-    "SweepDataset",
-    "TlsSettings",
     "calibrate_sweep_config",
-    "dataset_from_config",
     "emit_report",
     "extract_tc_rrr",
     "ingest_rt",

@@ -1,8 +1,12 @@
 """Configuration document: one JSON file with material/geometry/tls/fit/run sections.
 
-Unknown keys are rejected at every level (typo safety). Sections other than
-``material`` are optional at load time; commands validate that the sections
-they need are present.
+Each section builds one record: ``material`` a ``mbcore.MaterialParams``,
+``geometry`` an ``impedance.CpwGeometry``, ``tls`` a ``lossmodel.TlsParams``,
+``fit`` a ``FitSettings`` and ``run`` a ``RunSettings``. ``AnalysisConfig``
+holds them, and the analysis chain takes it as one argument. Unknown keys
+are rejected at every level (typo safety). Sections other than ``fit`` and
+``run`` may be absent at load time; the code that needs a section checks
+for it with ``AnalysisConfig.require``.
 """
 
 from __future__ import annotations
@@ -16,26 +20,6 @@ from ..errors import ConfigError
 from ..impedance import CpwGeometry
 from ..lossmodel import TlsParams
 from ..mbcore import GAP_MODELS, SIGMA2_PREFACTORS, MaterialParams
-
-
-@dataclass(frozen=True)
-class TlsSettings:
-    """TLS loss parameters independent of frequency; bind omega at use time."""
-
-    f_delta0: float
-    n_c: float
-    beta_exp: float
-
-    def __post_init__(self) -> None:
-        self.tls_params(1.0)  # TlsParams's own range checks
-
-    def tls_params(self, omega_rad: float) -> TlsParams:
-        return TlsParams(
-            f_delta0=self.f_delta0,
-            n_c=self.n_c,
-            beta_exp=self.beta_exp,
-            omega_rad=omega_rad,
-        )
 
 
 @dataclass(frozen=True)
@@ -110,7 +94,7 @@ class RunSettings:
 class AnalysisConfig:
     material: MaterialParams | None
     geometry: CpwGeometry | None
-    tls: TlsSettings | None
+    tls: TlsParams | None
     fit: FitSettings
     run: RunSettings
     digest: str
@@ -124,7 +108,7 @@ class AnalysisConfig:
 _SECTIONS = {
     "material": MaterialParams,
     "geometry": CpwGeometry,
-    "tls": TlsSettings,
+    "tls": TlsParams,
     "fit": FitSettings,
     "run": RunSettings,
 }

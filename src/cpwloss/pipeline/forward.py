@@ -2,7 +2,8 @@
 
 ``theory_chain`` evaluates the loss chain (Mattis-Bardeen conductivity ->
 surface impedance -> quasiparticle loss -> TLS loss) once over an array of
-temperatures; sweep analysis and ``loss_chain`` build on it. The module
+temperatures; sweep analysis and ``loss_chain`` build on it. Both take the
+whole ``AnalysisConfig`` and read the sections they need from it. The module
 generates synthetic temperature sweeps (for the synth command and for
 end-to-end round-trip testing) and calibrates the model scale factors
 against a pair of (temperature, Qi) anchor points:
@@ -36,10 +37,10 @@ from ..impedance import (
     qp_loss_theory,
     surface_impedance,
 )
-from ..lossmodel import q_tls, qi_theory
+from ..lossmodel import TlsParams, q_tls, qi_theory
 from ..mbcore import ComplexConductivity, MaterialParams, complex_conductivity
 from ..resfit import NotchParams, S21Trace, synth_trace
-from .config import AnalysisConfig, FitSettings, TlsSettings, config_from_dict
+from .config import AnalysisConfig, config_from_dict
 
 
 @dataclass(frozen=True)
@@ -53,22 +54,18 @@ class TheoryChain:
     qi_theory: np.ndarray
 
 
-def theory_chain(
-    material: MaterialParams,
-    geometry: CpwGeometry,
-    tls: TlsSettings,
-    fit: FitSettings,
-    omega: float,
-    temps,
-) -> TheoryChain:
+def theory_chain(config: AnalysisConfig, omega: float, temps) -> TheoryChain:
     """Conductivity, surface impedance, quasiparticle and TLS loss, and the
-    combined Qi, at angular frequency omega over an array of temperatures."""
+    combined Qi, at angular frequency omega over an array of temperatures,
+    from the config's material, geometry, tls and fit sections."""
+    config.require("material", "geometry", "tls")
     temps = np.asarray(temps, dtype=float)
-    sigma = complex_conductivity(material, temps, omega, fit.sigma2_prefactor)
+    fit, geometry = config.fit, config.geometry
+    sigma = complex_conductivity(config.material, temps, omega, fit.sigma2_prefactor)
     zs = surface_impedance(sigma)
     lg, g = geometric_inductance(geometry), fit.geom_factor(geometry)
     delta_qp = qp_loss_theory(zs, lg, g)
-    qtls = q_tls(temps, fit.n_photon, tls.tls_params(omega))
+    qtls = q_tls(temps, fit.n_photon, config.tls, omega)
     return TheoryChain(sigma, zs, delta_qp, qtls, qi_theory(qtls, delta_qp))
 
 
@@ -84,28 +81,24 @@ class ChainPoint:
     qi_total: float
 
 
-def loss_chain(
-    material: MaterialParams,
-    geometry: CpwGeometry,
-    tls: TlsSettings,
-    fit: FitSettings,
-    f0_hz: float,
-    temperatures,
-    excess_loss: float = 0.0,
-) -> list[ChainPoint]:
-    """Evaluate the loss and frequency-shift chain on a temperature grid.
+def loss_chain(config: AnalysisConfig) -> list[ChainPoint]:
+    """Evaluate the loss and frequency-shift chain on the config's
+    ``run.temperatures`` at ``run.frequency_hz``.
 
-    ``qi_total`` folds in an optional constant excess loss channel (used to
+    ``qi_total`` folds in the constant ``run.excess_loss`` channel (used to
     emulate a non-equilibrium quasiparticle population); ``qi_theory`` is
     the TLS + thermal-quasiparticle prediction alone. Points are returned in
     ascending temperature, with fr referred to the coldest one.
     """
-    temps = np.sort(np.asarray(temperatures, dtype=float))
-    chain = theory_chain(material, geometry, tls, fit, angular_frequency(f0_hz), temps)
-    lg, g = geometric_inductance(geometry), fit.geom_factor(geometry)
+    run = config.run
+    if run.frequency_hz is None or run.temperatures is None:
+        raise ConfigError("the loss chain needs run.frequency_hz and run.temperatures")
+    temps = np.sort(np.asarray(run.temperatures, dtype=float))
+    chain = theory_chain(config, angular_frequency(run.frequency_hz), temps)
+    lg, g = geometric_inductance(config.geometry), config.fit.geom_factor(config.geometry)
     ltot = lg + g * chain.zs.ls_henry
-    fr = f0_hz * np.sqrt(ltot[0] / ltot)
-    qi_total = 1.0 / (1.0 / chain.qi_theory + excess_loss)
+    fr = run.frequency_hz * np.sqrt(ltot[0] / ltot)
+    qi_total = 1.0 / (1.0 / chain.qi_theory + run.excess_loss)
     columns = (temps, fr, chain.q_tls, chain.delta_qp, chain.qi_theory, qi_total)
     return [ChainPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
@@ -118,21 +111,12 @@ def synth_sweep(config: AnalysisConfig) -> list[S21Trace]:
     run section. Per-trace noise streams are spawned deterministically from
     the single run seed.
     """
-    config.require("material", "geometry", "tls")
     run = config.run
     if run.frequency_hz is None or run.temperatures is None or run.qc_mag is None:
         raise ConfigError(
             "synth sweep needs run.frequency_hz, run.temperatures and run.qc_mag"
         )
-    points = loss_chain(
-        config.material,
-        config.geometry,
-        config.tls,
-        config.fit,
-        run.frequency_hz,
-        run.temperatures,
-        excess_loss=run.excess_loss,
-    )
+    points = loss_chain(config)
     seeds = np.random.SeedSequence(run.seed).spawn(len(points))
     traces: list[S21Trace] = []
     for pt, seed in zip(points, seeds):
@@ -214,12 +198,12 @@ def calibrate_sweep_config(
     }
     sigma2_prefactor = "pi"
     f_delta0 = tls_f_delta0_for_q(qi_cold, t_cold, f0_hz, n_c, beta_exp, n_photon)
-    tls = TlsSettings(f_delta0=f_delta0, n_c=n_c, beta_exp=beta_exp)
+    tls = TlsParams(f_delta0=f_delta0, n_c=n_c, beta_exp=beta_exp)
 
     material_probe = MaterialParams(**material_doc, alpha=1.0)
     geometry = CpwGeometry(**geometry_doc)
     omega0 = angular_frequency(f0_hz)
-    tls_hot_loss = 1.0 / q_tls(t_hot, n_photon, tls.tls_params(omega0))
+    tls_hot_loss = 1.0 / q_tls(t_hot, n_photon, tls, omega0)
     target_delta = 1.0 / qi_hot - tls_hot_loss
     if target_delta <= 0:
         raise ValueError("warm anchor is above the TLS-only prediction")
@@ -264,16 +248,6 @@ def calibrate_sweep_config(
     }
 
 
-def reference_chain(config_doc: dict):
+def reference_chain(config_doc: dict) -> list[ChainPoint]:
     """Convenience: loss_chain evaluated from a config document."""
-    config = config_from_dict(config_doc)
-    config.require("material", "geometry", "tls")
-    return loss_chain(
-        config.material,
-        config.geometry,
-        config.tls,
-        config.fit,
-        config.run.frequency_hz,
-        config.run.temperatures,
-        excess_loss=config.run.excess_loss,
-    )
+    return loss_chain(config_from_dict(config_doc))

@@ -1,8 +1,11 @@
 """Temperature-sweep orchestration: fit every trace, assemble loss budgets.
 
-Per-temperature fits are independent (no shared mutable state), so they run
-on a forked worker pool when the sweep is large enough to pay for one (see
-:mod:`.parallel`). Results are merged in ascending temperature order, and a
+``sweep_analyze`` takes the traces and the one ``AnalysisConfig``. It first
+sets aside, as failure entries, the traces the model cannot describe (at or
+below 0 K, at or above Tc, untagged), and checks that the rest make one
+sweep. Per-temperature fits are independent (no shared mutable state), so
+they run on a forked worker pool when the sweep is large enough to pay for
+one (see :mod:`.parallel`). Results are merged in ascending temperature order, and a
 fit's bits do not depend on the process it ran in, so the report is the
 same from the pool and from one process. After the fits, the theory chain,
 the loss budgets and the excess loss are each one array call over the
@@ -11,71 +14,17 @@ fitted temperatures; no step loops over temperatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..constants import angular_frequency
 from ..errors import FitError, InputError
-from ..impedance import CpwGeometry
 from ..lossmodel import LossBudget, excess_qp_loss, make_budget
-from ..mbcore import MaterialParams
 from ..resfit import NotchFitResult, S21Trace, fit_notch
-from .config import AnalysisConfig, FitSettings, TlsSettings
+from .config import AnalysisConfig
 from .forward import theory_chain
 from .parallel import ordered_map
-
-
-@dataclass
-class SweepDataset:
-    """Input bundle for one temperature sweep.
-
-    Traces at or above the film's Tc (ascending), then untagged traces, are
-    set aside in ``set_aside`` with the reason; the analysis reports each
-    one as a failure.
-    """
-
-    traces: list[S21Trace]
-    material: MaterialParams
-    geometry: CpwGeometry
-    tls: TlsSettings
-    fit: FitSettings = field(default_factory=FitSettings)
-    set_aside: list[tuple[S21Trace, str]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        tc = self.material.tc_kelvin
-        tagged = [tr for tr in self.traces if tr.temperature_k is not None]
-        tagged.sort(key=lambda tr: tr.temperature_k)
-        self.set_aside = [
-            (tr, f"T = {tr.temperature_k} K >= Tc = {tc} K: gap closed, model invalid")
-            for tr in tagged if tr.temperature_k >= tc
-        ] + [(tr, "no temperature tag") for tr in self.traces if tr.temperature_k is None]
-        self.traces = [tr for tr in tagged if tr.temperature_k < tc]
-        if len(self.traces) < 2:
-            raise InputError("sweep needs at least 2 temperature-tagged traces below Tc")
-        for a, b in zip(self.traces, self.traces[1:]):
-            if b.temperature_k <= a.temperature_k:
-                raise InputError(
-                    f"trace temperatures must be distinct: {a.source} and "
-                    f"{b.source} are both at {a.temperature_k} K"
-                )
-        powers = [tr.power_dbm for tr in self.traces if tr.power_dbm is not None]
-        if powers and max(powers) - min(powers) > 0.5:
-            raise InputError(
-                "traces span more than 0.5 dB of drive power; "
-                "a sweep must be taken at fixed power"
-            )
-
-
-def dataset_from_config(traces: list[S21Trace], config: AnalysisConfig) -> SweepDataset:
-    config.require("material", "geometry", "tls")
-    return SweepDataset(
-        traces=list(traces),
-        material=config.material,
-        geometry=config.geometry,
-        tls=config.tls,
-        fit=config.fit,
-    )
 
 
 @dataclass(frozen=True)
@@ -111,6 +60,47 @@ class AnalysisReport:
     provenance: dict
 
 
+def _partition(
+    traces: list[S21Trace], tc: float
+) -> tuple[list[S21Trace], list[FailureEntry]]:
+    """The traces to fit, ascending in T, and the failures of those set aside
+    (T <= 0 K, then T >= Tc, ascending; then untagged); InputError when the
+    traces to fit are not one sweep."""
+    tagged = sorted(
+        (tr for tr in traces if tr.temperature_k is not None),
+        key=lambda tr: tr.temperature_k,
+    )
+    kept = [tr for tr in tagged if 0.0 < tr.temperature_k < tc]
+
+    def reason(t: float) -> str:
+        if t <= 0.0:
+            return f"T = {t} K <= 0 K: temperature must be positive"
+        return f"T = {t} K >= Tc = {tc} K: gap closed, model invalid"
+
+    set_aside = [
+        FailureEntry(tr.source, tr.temperature_k, reason(tr.temperature_k))
+        for tr in tagged if not 0.0 < tr.temperature_k < tc
+    ] + [
+        FailureEntry(tr.source, None, "no temperature tag")
+        for tr in traces if tr.temperature_k is None
+    ]
+    if len(kept) < 2:
+        raise InputError("sweep needs at least 2 temperature-tagged traces below Tc")
+    for a, b in zip(kept, kept[1:]):
+        if b.temperature_k <= a.temperature_k:
+            raise InputError(
+                f"trace temperatures must be distinct: {a.source} and "
+                f"{b.source} are both at {a.temperature_k} K"
+            )
+    powers = [tr.power_dbm for tr in kept if tr.power_dbm is not None]
+    if powers and max(powers) - min(powers) > 0.5:
+        raise InputError(
+            "traces span more than 0.5 dB of drive power; "
+            "a sweep must be taken at fixed power"
+        )
+    return kept, set_aside
+
+
 REDSHIFT_NSIGMA = 3.0
 REDSHIFT_REL_FLOOR = 0.01
 
@@ -141,31 +131,35 @@ def _fit_or_error(trace: S21Trace) -> NotchFitResult | FitError:
         return exc
 
 
-def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> AnalysisReport:
+def sweep_analyze(
+    traces: list[S21Trace], config: AnalysisConfig, provenance: dict | None = None
+) -> AnalysisReport:
     """Fit every trace and decompose the loss budget per temperature.
 
-    Unfittable and set-aside traces degrade to failure entries; the analysis
-    fails only when no trace fits. The reference trace is the coldest
-    successful one, or, with ``fit.t_ref_kelvin`` set, the successful trace
-    nearest that temperature. The theory chain (conductivity, surface
+    Traces at or below 0 K, at or above the film's Tc and untagged ones are
+    set aside; they and the unfittable traces degrade to failure entries,
+    and the analysis fails only when no trace fits. The material, geometry
+    and tls sections of ``config`` are required. The reference trace is the
+    coldest successful one, or, with ``fit.t_ref_kelvin`` set, the
+    successful trace nearest that temperature. The theory chain (conductivity, surface
     impedance, TLS) is evaluated at the reference trace's fitted resonance
     frequency, once over all fitted temperatures, and ``delta_f_hz`` is
     measured from it.
     """
-    work_bytes = sum(tr.freq_hz.nbytes + tr.s21.nbytes for tr in dataset.traces)
-    results = list(
-        zip(dataset.traces, ordered_map(_fit_or_error, dataset.traces, work_bytes))
-    )
+    config.require("material", "geometry", "tls")
+    traces, set_aside = _partition(traces, config.material.tc_kelvin)
+    work_bytes = sum(tr.freq_hz.nbytes + tr.s21.nbytes for tr in traces)
+    results = list(zip(traces, ordered_map(_fit_or_error, traces, work_bytes)))
     fits = [(trace, r) for trace, r in results if not isinstance(r, FitError)]
     failures = [
         FailureEntry(trace.source, trace.temperature_k, str(r))
         for trace, r in results
         if isinstance(r, FitError)
-    ] + [FailureEntry(tr.source, tr.temperature_k, why) for tr, why in dataset.set_aside]
+    ] + set_aside
     if not fits:
         raise FitError("no trace in the sweep could be fitted")
 
-    t_ref = dataset.fit.t_ref_kelvin
+    t_ref = config.fit.t_ref_kelvin
     if t_ref is None:
         ref_trace, ref_fit = fits[0]
     else:
@@ -177,12 +171,10 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
 
     temps = [trace.temperature_k for trace, _ in fits]
     qi_measured = [fit.qi for _, fit in fits]
-    chain = theory_chain(
-        dataset.material, dataset.geometry, dataset.tls, dataset.fit, omega, temps
-    )
+    chain = theory_chain(config, omega, temps)
     budgets = make_budget(
         temps, chain.q_tls, chain.delta_qp, chain.qi_theory, qi_measured,
-        dataset.material, omega, dataset.fit.gap_model,
+        config.material, omega, config.fit.gap_model,
     )
     excess, negative = excess_qp_loss(qi_measured, chain.qi_theory)
     sigma = chain.sigma
@@ -200,7 +192,7 @@ def sweep_analyze(dataset: SweepDataset, provenance: dict | None = None) -> Anal
         )
     ]
 
-    lowt_cut = dataset.material.tc_kelvin / 10.0
+    lowt_cut = config.material.tc_kelvin / 10.0
     plateau_vals = [
         e.budget.nqp_measured_per_um3
         for e in entries

@@ -18,7 +18,7 @@ from cpwloss.pipeline.config import config_from_dict
 from cpwloss.pipeline.dc import extract_tc_rrr
 from cpwloss.pipeline.forward import calibrate_sweep_config, loss_chain, synth_sweep
 from cpwloss.pipeline.io import write_s21_csv
-from cpwloss.pipeline.sweep import dataset_from_config, sweep_analyze
+from cpwloss.pipeline.sweep import sweep_analyze
 from cpwloss.pipeline.xrd import lattice_constant
 
 from oracles import bessel_k0_i0_reference, mb_full_oracle
@@ -56,10 +56,7 @@ def sweep_artifacts(tmp_path_factory):
     traces_dir.mkdir()
     for tr in synth_sweep(config):
         write_s21_csv(traces_dir / f"s21_T{tr.temperature_k:.4f}K.csv", tr)
-    injected = loss_chain(
-        config.material, config.geometry, config.tls, config.fit,
-        config.run.frequency_hz, config.run.temperatures,
-    )
+    injected = loss_chain(config)
     return root, cfg_path, traces_dir, doc, injected
 
 
@@ -174,7 +171,7 @@ def test_criterion_06_quasiparticle_density_chain(sweep_artifacts):
         doc_excess["run"] = dict(doc["run"], excess_loss=excess, seed=13)
         config_x = config_from_dict(doc_excess)
         traces = synth_sweep(config_x)
-        report = sweep_analyze(dataset_from_config(traces, config_x))
+        report = sweep_analyze(traces, config_x)
 
         # two-path identity: the density conversion applied to the
         # theoretical loss must reproduce the stored theory density exactly

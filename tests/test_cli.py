@@ -360,20 +360,20 @@ class TestSweepCommand:
         reported = {e["source"] for e in report["per_temperature"] + report["failures"]}
         assert reported == {i["path"] for i in report["provenance"]["inputs"]}
 
-    def test_trace_at_or_above_tc_is_a_failure(self, capsys, tmp_path, sweep_setup):
-        # the other traces report as they do without the hot ones, which
-        # are listed between fit failures (none here) and untagged traces,
-        # in ascending temperature
+    @staticmethod
+    def _with_retagged_copies(capsys, tmp_path, sweep_setup, temps):
+        """Run the sweep alone, and with one copy of a trace added per file
+        name and temperature in ``temps`` (None: untagged). Check that the
+        copies leave ``per_temperature`` and ``derived`` as they were, and
+        return the copies' directory and their report."""
         cfg_path, traces_dir = sweep_setup
-        tc = json.loads(cfg_path.read_text())["material"]["tc_kelvin"]
         mixed = tmp_path / "mixed"
         shutil.copytree(traces_dir, mixed)
         header, *body = sorted(mixed.glob("*.csv"))[0].read_text().splitlines(keepends=True)
         assert header.startswith("# temperature_K=")
-        hot = {mixed / "hot_a.csv": tc + 0.3, mixed / "hot_b.csv": tc}
-        for path, t in hot.items():
-            path.write_text(f"# temperature_K={t!r}\n" + "".join(body))
-        (mixed / "untagged.csv").write_text("".join(body))
+        for name, t in temps.items():
+            tag = "" if t is None else f"# temperature_K={t!r}\n"
+            (mixed / name).write_text(tag + "".join(body))
         runs = {}
         for name, inputs in (("plain", traces_dir), ("mixed", mixed)):
             rc, _, err = run_cli(
@@ -383,6 +383,22 @@ class TestSweepCommand:
             assert rc == 0, err
             runs[name] = json.loads((tmp_path / name / "report.json").read_text())
         plain, report = runs["plain"], runs["mixed"]
+        assert report["per_temperature"] == [
+            {**e, "source": e["source"].replace(str(traces_dir), str(mixed))}
+            for e in plain["per_temperature"]
+        ]
+        assert report["derived"] == plain["derived"]
+        return mixed, report
+
+    def test_trace_at_or_above_tc_is_a_failure(self, capsys, tmp_path, sweep_setup):
+        # the other traces report as they do without the hot ones, which
+        # are listed between fit failures (none here) and untagged traces,
+        # in ascending temperature
+        cfg_path, _ = sweep_setup
+        tc = json.loads(cfg_path.read_text())["material"]["tc_kelvin"]
+        temps = {"hot_a.csv": tc + 0.3, "hot_b.csv": tc, "untagged.csv": None}
+        mixed, report = self._with_retagged_copies(capsys, tmp_path, sweep_setup, temps)
+        hot = {mixed / "hot_a.csv": tc + 0.3, mixed / "hot_b.csv": tc}
         assert report["failures"] == [
             {
                 "source": str(path), "temperature_k": t,
@@ -393,11 +409,26 @@ class TestSweepCommand:
             {"source": str(mixed / "untagged.csv"), "temperature_k": None,
              "error": "no temperature tag"}
         ]
-        assert report["per_temperature"] == [
-            {**e, "source": e["source"].replace(str(traces_dir), str(mixed))}
-            for e in plain["per_temperature"]
+
+    def test_trace_at_or_below_0_k_is_a_failure(self, capsys, tmp_path, sweep_setup):
+        # set aside like a hot trace, and listed ahead of the hot ones, in
+        # ascending temperature
+        cfg_path, _ = sweep_setup
+        tc = json.loads(cfg_path.read_text())["material"]["tc_kelvin"]
+        temps = {"zero.csv": 0.0, "hot.csv": tc, "negative.csv": -0.5}
+        mixed, report = self._with_retagged_copies(capsys, tmp_path, sweep_setup, temps)
+        assert report["failures"] == [
+            {
+                "source": str(mixed / name), "temperature_k": t,
+                "error": f"T = {t!r} K <= 0 K: temperature must be positive",
+            }
+            for name, t in (("negative.csv", -0.5), ("zero.csv", 0.0))
+        ] + [
+            {
+                "source": str(mixed / "hot.csv"), "temperature_k": tc,
+                "error": f"T = {tc!r} K >= Tc = {tc!r} K: gap closed, model invalid",
+            }
         ]
-        assert report["derived"] == plain["derived"]
 
     def test_fit_prints_the_reports_fit_block(self, capsys, tmp_path, sweep_setup):
         cfg_path, traces_dir = sweep_setup
@@ -527,11 +558,59 @@ PHOTON_Q = ("--ql", "7e4", "--qc", "1e5", "--qi", "2.5e5")
 )
 def test_non_finite_float_option_is_input_error(capsys, tmp_path, sweep_setup, argv, named):
     cfg_path, _ = sweep_setup
-    argv = (*argv, "--config", str(cfg_path), "--out", str(tmp_path / "trace.csv"))
+    if argv[0] == "mb":
+        argv = (*argv, "--config", str(cfg_path))
+    elif argv[0] == "synth":
+        argv = (*argv, "--out", str(tmp_path / "trace.csv"))
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1
     assert named in err and out == ""
     assert not (tmp_path / "trace.csv").exists()
+
+
+SUBCOMMAND_ARGV = {
+    "mb": ("mb",),
+    "fit": ("fit", "t.csv"),
+    "sweep": ("sweep", "traces"),
+    "photon": ("photon", *PHOTON_Q, "--freq-hz", "5.95e9", "--pin-dbm", "-100"),
+    "synth": ("synth",),
+    "dc": ("dc", "rt.csv"),
+    "xrd": ("xrd", "--two-theta", "40", "--hkl", "1", "1", "1"),
+}
+SHARED_FLAGS = {"--config": "c.json", "--out": "out", "--seed": "1", "--format": "csv"}
+FLAGS_READ = {
+    "mb": ("--config", "--format"),
+    "fit": ("--format",),
+    "sweep": ("--config", "--out"),
+    "photon": ("--format",),
+    "synth": ("--config", "--out", "--seed"),
+    "dc": ("--format",),
+    "xrd": ("--format",),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in SUBCOMMAND_ARGV for f in SHARED_FLAGS if f not in FLAGS_READ[c]],
+)
+def test_flag_a_subcommand_does_not_read_is_usage_error(
+    capsys, monkeypatch, tmp_path, command, flag
+):
+    monkeypatch.chdir(tmp_path)  # where synth would write trace.csv
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*SUBCOMMAND_ARGV[command], flag, SHARED_FLAGS[flag]])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == "" and f"unrecognized arguments: {flag}" in out.err
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_ARGV)
+def test_subcommand_takes_the_flags_it_reads(command):
+    given = [v for f in FLAGS_READ[command] for v in (f, SHARED_FLAGS[f])]
+    args = cli.build_parser().parse_args([*SUBCOMMAND_ARGV[command], *given])
+    assert {f: str(getattr(args, f[2:])) for f in FLAGS_READ[command]} == {
+        f: SHARED_FLAGS[f] for f in FLAGS_READ[command]
+    }
 
 
 @pytest.mark.parametrize(

@@ -12,28 +12,32 @@ from conftest import OMEGA0
 
 @pytest.fixture(scope="module")
 def tls():
-    return lossmodel.TlsParams(
-        f_delta0=1.26e-5, n_c=10.0, beta_exp=0.5, omega_rad=OMEGA0
-    )
+    return lossmodel.TlsParams(f_delta0=1.26e-5, n_c=10.0, beta_exp=0.5)
 
 
 class TestQTls:
     def test_hot_limit_diverges(self, tls):
-        assert lossmodel.q_tls(1000.0, 1.0, tls) > 1e3 * lossmodel.q_tls(0.05, 1.0, tls)
+        hot, cold = (lossmodel.q_tls(t, 1.0, tls, OMEGA0) for t in (1000.0, 0.05))
+        assert hot > 1e3 * cold
 
     def test_cold_unsaturated_limit(self):
-        p = lossmodel.TlsParams(f_delta0=2e-6, n_c=10.0, beta_exp=0.5, omega_rad=OMEGA0)
+        p = lossmodel.TlsParams(f_delta0=2e-6, n_c=10.0, beta_exp=0.5)
         # n = 0, T -> 0: tanh -> 1, Q_TLS -> 1/f_delta0
-        assert lossmodel.q_tls(0.001, 0.0, p) == pytest.approx(1.0 / 2e-6, rel=1e-6)
+        q = lossmodel.q_tls(0.001, 0.0, p, OMEGA0)
+        assert q == pytest.approx(1.0 / 2e-6, rel=1e-6)
 
     def test_saturation_raises_q(self, tls):
-        assert lossmodel.q_tls(0.1, 1e4, tls) > lossmodel.q_tls(0.1, 0.0, tls)
+        saturated, bare = (lossmodel.q_tls(0.1, n, tls, OMEGA0) for n in (1e4, 0.0))
+        assert saturated > bare
 
     def test_domain(self, tls):
         with pytest.raises(ValueError):
-            lossmodel.q_tls(0.0, 1.0, tls)
+            lossmodel.q_tls(0.0, 1.0, tls, OMEGA0)
         with pytest.raises(ValueError):
-            lossmodel.q_tls(1.0, -1.0, tls)
+            lossmodel.q_tls(1.0, -1.0, tls, OMEGA0)
+        for omega in (0.0, -OMEGA0):
+            with pytest.raises(ValueError, match="omega_rad"):
+                lossmodel.q_tls(1.0, 1.0, tls, omega)
 
 
 class TestQiTheory:
@@ -54,7 +58,7 @@ class TestQiTheory:
         for t in temps:
             sigma = mbcore.complex_conductivity(nbn_film, float(t), OMEGA0)
             delta = qp_loss_theory(surface_impedance(sigma), lg, 2.24e6)
-            qi.append(lossmodel.qi_theory(lossmodel.q_tls(float(t), 1.0, tls), delta))
+            qi.append(lossmodel.qi_theory(lossmodel.q_tls(float(t), 1.0, tls, OMEGA0), delta))
         imax = int(np.argmax(qi))
         assert 0 < imax < len(qi) - 1
 

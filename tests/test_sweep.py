@@ -1,8 +1,10 @@
 import csv
+import importlib.util
 import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +26,10 @@ from cpwloss.pipeline.forward import (
     tls_f_delta0_for_q,
 )
 from cpwloss.pipeline.report import emit_report, report_to_dict, table_text, to_json
-from cpwloss.pipeline.sweep import dataset_from_config, sweep_analyze
+from cpwloss.pipeline.sweep import sweep_analyze
 from cpwloss.resfit import S21Trace
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +46,7 @@ def calibrated_doc():
 def analyzed(calibrated_doc):
     config = config_from_dict(calibrated_doc)
     traces = synth_sweep(config)
-    dataset = dataset_from_config(traces, config)
-    report = sweep_analyze(dataset, provenance={"config_sha256": config.digest})
+    report = sweep_analyze(traces, config, provenance={"config_sha256": config.digest})
     return config, traces, report
 
 
@@ -57,9 +60,9 @@ class TestForwardModel:
         f_d0 = tls_f_delta0_for_q(1e5, 0.12, 5.95e9, 10.0, 0.5)
         from cpwloss.lossmodel import TlsParams
 
-        p = TlsParams(f_delta0=f_d0, n_c=10.0, beta_exp=0.5,
-                      omega_rad=angular_frequency(5.95e9))
-        assert q_tls(0.12, 1.0, p) == pytest.approx(1e5, rel=1e-12)
+        p = TlsParams(f_delta0=f_d0, n_c=10.0, beta_exp=0.5)
+        q = q_tls(0.12, 1.0, p, angular_frequency(5.95e9))
+        assert q == pytest.approx(1e5, rel=1e-12)
 
     @pytest.mark.parametrize(
         "qi_hot, match", [(1e7, "TLS-only"), (1e3, "fully kinetic limit")]
@@ -73,20 +76,16 @@ class TestForwardModel:
         # a time; numpy and CPython round complex division and tanh apart
         config = config_from_dict(calibrated_doc)
         omega = angular_frequency(config.run.frequency_hz)
-        chain = theory_chain(
-            config.material, config.geometry, config.tls, config.fit, omega,
-            config.run.temperatures,
-        )
+        chain = theory_chain(config, omega, config.run.temperatures)
         lg = geometric_inductance(config.geometry)
         g = config.fit.geom_factor(config.geometry)
-        tls = config.tls.tls_params(omega)
         for i, t in enumerate(config.run.temperatures):
             sigma = complex_conductivity(
                 config.material, t, omega, config.fit.sigma2_prefactor
             )
             zs = surface_impedance(sigma)
             delta = qp_loss_theory(zs, lg, g)
-            qtls = q_tls(t, config.fit.n_photon, tls)
+            qtls = q_tls(t, config.fit.n_photon, config.tls, omega)
             pairs = {
                 "sigma1": (chain.sigma.sigma1[i], sigma.sigma1),
                 "sigma2": (chain.sigma.sigma2[i], sigma.sigma2),
@@ -106,8 +105,7 @@ class TestForwardModel:
         config = config_from_dict(calibrated_doc)
         pts = reference_chain(calibrated_doc)
         chain = theory_chain(
-            config.material, config.geometry, config.tls, config.fit,
-            angular_frequency(config.run.frequency_hz),
+            config, angular_frequency(config.run.frequency_hz),
             [pt.temperature_k for pt in pts],
         )
         ls, s2 = chain.zs.ls_henry, chain.sigma.sigma2_norm
@@ -123,6 +121,28 @@ class TestForwardModel:
                 assert df_linear == pytest.approx(df_exact, rel=0.1)
                 assert df_sigma == pytest.approx(df_exact, rel=0.1)
 
+    def test_chain_reproduces_the_benchmarks_frozen_table(self):
+        # perfbench/freeze_data.py builds the benchmark's inputs from
+        # calibrate_sweep_config and reference_chain; the frozen table it
+        # wrote must still come out of them
+        spec = importlib.util.spec_from_file_location(
+            "freeze_data", PERFBENCH / "freeze_data.py"
+        )
+        freeze_data = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(freeze_data)
+        frozen = json.loads((PERFBENCH / "data" / "reference.json").read_text())
+        doc = calibrate_sweep_config()
+        assert doc == frozen["config"]
+        for name, temps in freeze_data.GRIDS.items():
+            grid_doc = dict(doc, run=dict(doc["run"], temperatures=temps))
+            rows = frozen["grids"][name]
+            pts = freeze_data.reference_chain(grid_doc)
+            assert len(pts) == len(rows)
+            for pt, (t, fr, qi_total) in zip(pts, rows):
+                assert pt.temperature_k == t
+                assert abs(pt.fr_hz - fr) <= 4 * np.spacing(fr), (name, t)
+                assert abs(pt.qi_total - qi_total) <= 4 * np.spacing(qi_total), (name, t)
+
     def test_synth_sweep_determinism(self, calibrated_doc):
         config = config_from_dict(calibrated_doc)
         a = synth_sweep(config)
@@ -134,10 +154,7 @@ class TestForwardModel:
 class TestSweepAnalyze:
     def test_recovers_injected_qi(self, analyzed):
         config, traces, report = analyzed
-        pts = loss_chain(
-            config.material, config.geometry, config.tls, config.fit,
-            config.run.frequency_hz, config.run.temperatures,
-        )
+        pts = loss_chain(config)
         injected = {round(p.temperature_k, 6): p.qi_total for p in pts}
         assert len(report.entries) == len(pts)
         for entry in report.entries:
@@ -147,8 +164,7 @@ class TestSweepAnalyze:
     def test_qi_theory_conservation_per_entry(self, analyzed):
         config, _, report = analyzed
         chain = theory_chain(
-            config.material, config.geometry, config.tls, config.fit,
-            angular_frequency(report.derived["reference_fr_hz"]),
+            config, angular_frequency(report.derived["reference_fr_hz"]),
             [e.temperature_k for e in report.entries],
         )
         assert [e.budget.qi_theory for e in report.entries] == chain.qi_theory.tolist()
@@ -157,7 +173,7 @@ class TestSweepAnalyze:
         _, traces, _ = analyzed
         doc = dict(calibrated_doc, fit=dict(calibrated_doc["fit"], t_ref_kelvin=1.0))
         config = config_from_dict(doc)
-        report = sweep_analyze(dataset_from_config(traces, config))
+        report = sweep_analyze(traces, config)
         temps = [e.temperature_k for e in report.entries]
         nearest = min(temps, key=lambda t: abs(t - 1.0))
         assert nearest != temps[0]
@@ -182,8 +198,7 @@ class TestSweepAnalyze:
         config, traces, report = analyzed
         shuffled = [traces[i] for i in np.random.default_rng(0).permutation(len(traces))]
         report2 = sweep_analyze(
-            dataset_from_config(shuffled, config),
-            provenance={"config_sha256": config.digest},
+            shuffled, config, provenance={"config_sha256": config.digest}
         )
         assert report_to_dict(report2) == report_to_dict(report)
 
@@ -197,7 +212,7 @@ class TestSweepAnalyze:
             temperature_k=0.77,
             source="junk",
         )
-        report = sweep_analyze(dataset_from_config(traces + [junk], config))
+        report = sweep_analyze(traces + [junk], config)
         assert len(report.failures) == 1
         assert report.failures[0].source == "junk"
         assert len(report.entries) == len(traces)
@@ -209,7 +224,7 @@ class TestSweepAnalyze:
             S21Trace(f, np.full(64, 0.9 + 0j), temperature_k=t) for t in (0.2, 0.4)
         ]
         with pytest.raises(FitError):
-            sweep_analyze(dataset_from_config(flats, config))
+            sweep_analyze(flats, config)
 
     def test_power_mismatch_rejected(self, analyzed):
         config, traces, _ = analyzed
@@ -219,7 +234,7 @@ class TestSweepAnalyze:
         bad[0].power_dbm = -130.0
         bad[1].power_dbm = -120.0
         with pytest.raises(InputError, match="power"):
-            dataset_from_config(bad, config)
+            sweep_analyze(bad, config)
 
     def test_duplicate_temperature_rejected(self, analyzed):
         config, traces, _ = analyzed
@@ -228,11 +243,11 @@ class TestSweepAnalyze:
         dup = copy.deepcopy(traces[:3])
         dup[1].temperature_k = dup[0].temperature_k
         with pytest.raises(InputError, match="distinct"):
-            dataset_from_config(dup, config)
+            sweep_analyze(dup, config)
         dup[0].source, dup[1].source = "a.csv", "b.csv"
         clash = rf"a\.csv and b\.csv are both at {dup[0].temperature_k} K"
         with pytest.raises(InputError, match=clash):
-            dataset_from_config(dup, config)
+            sweep_analyze(dup, config)
 
     def test_only_traces_below_tc_count_toward_two(self, analyzed):
         config, traces, _ = analyzed
@@ -241,7 +256,7 @@ class TestSweepAnalyze:
         pair = copy.deepcopy(traces[:2])
         pair[1].temperature_k = config.material.tc_kelvin
         with pytest.raises(InputError, match="at least 2"):
-            dataset_from_config(pair, config)
+            sweep_analyze(pair, config)
 
 
 class TestEmitReport:
