@@ -23,12 +23,10 @@ import numpy as np
 from . import __version__
 from .constants import angular_frequency
 from .errors import ConfigError, CpwLossError, FitError, InputError
-from .impedance import surface_impedance
-from .mbcore import complex_conductivity
 from .photon import build_power_budget, power_for_photons
 from .pipeline.config import AnalysisConfig, load_config
 from .pipeline.dc import extract_tc_rrr
-from .pipeline.forward import synth_sweep
+from .pipeline.forward import film_response, synth_sweep
 from .pipeline.io import (
     TRACE_SUFFIXES, ingest_rt, ingest_s21, read_bytes, write_s21_csv,
 )
@@ -61,13 +59,8 @@ def _read_trace(path: Path) -> tuple[S21Trace, str]:
 
 def cmd_mb(args) -> int:
     config = _require_config(args)
-    config.require("material")
     temps = np.linspace(args.tmin, args.tmax, args.points)
-    sigma = complex_conductivity(
-        config.material, temps, angular_frequency(args.freq_hz),
-        config.fit.sigma2_prefactor,
-    )
-    zs = surface_impedance(sigma)
+    sigma, zs = film_response(config, angular_frequency(args.freq_hz), temps)
     columns = {
         "temperature_k": temps,
         "sigma1_norm": sigma.sigma1_norm,
@@ -130,6 +123,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_photon(args) -> int:
+    if args.att_db is not None and args.pvna_dbm is None:
+        raise InputError("--att-db is read only with --pvna-dbm")
     if args.n_target is not None:
         p_in = power_for_photons(
             args.n_target, args.qi, args.ql, args.qc, args.freq_hz
@@ -138,10 +133,8 @@ def cmd_photon(args) -> int:
         return 0
     if args.pin_dbm is not None:
         p_vna, p_att = args.pin_dbm, 0.0
-    elif args.pvna_dbm is not None:
-        p_vna, p_att = args.pvna_dbm, args.att_db
     else:
-        raise InputError("photon needs --pin-dbm, --pvna-dbm/--att-db or --n-target")
+        p_vna, p_att = args.pvna_dbm, 0.0 if args.att_db is None else args.att_db
     budget = build_power_budget(p_vna, p_att, args.ql, args.qc, args.qi, args.freq_hz)
     _emit(asdict(budget), args)
     return 0
@@ -168,6 +161,8 @@ def cmd_synth(args) -> int:
             write_s21_csv(out_dir / name, trace)
         print(f"wrote {len(traces)} traces to {out_dir}")
         return 0
+    if args.config:
+        raise InputError("--config is read only by --kind sweep")
     params = NotchParams(
         fr_hz=args.fr_hz,
         ql=args.ql,
@@ -262,10 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ph.add_argument("--qc", type=float, required=True)
     p_ph.add_argument("--qi", type=float, required=True)
     p_ph.add_argument("--freq-hz", type=float, required=True, dest="freq_hz")
-    p_ph.add_argument("--pin-dbm", type=float, default=None, dest="pin_dbm")
-    p_ph.add_argument("--pvna-dbm", type=float, default=None, dest="pvna_dbm")
-    p_ph.add_argument("--att-db", type=float, default=0.0, dest="att_db")
-    p_ph.add_argument("--n-target", type=float, default=None, dest="n_target")
+    mode = p_ph.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pin-dbm", type=float, default=None, dest="pin_dbm")
+    mode.add_argument("--pvna-dbm", type=float, default=None, dest="pvna_dbm")
+    mode.add_argument("--n-target", type=float, default=None, dest="n_target")
+    p_ph.add_argument("--att-db", type=float, default=None, dest="att_db")
     p_ph.set_defaults(func=cmd_photon)
 
     p_synth = sub.add_parser(

@@ -128,8 +128,6 @@ def _build_section(name: str, cls, payload: dict):
         data["temperatures"] = tuple(float(t) for t in data["temperatures"])
     try:
         return cls(**data)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config section '{name}': {exc}") from exc
 

@@ -1,20 +1,23 @@
 """Forward model chain: material + geometry + TLS -> Qi(T), fr(T), traces.
 
-``theory_chain`` evaluates the loss chain (Mattis-Bardeen conductivity ->
-surface impedance -> quasiparticle loss -> TLS loss) once over an array of
-temperatures; sweep analysis and ``loss_chain`` build on it. Both take the
-whole ``AnalysisConfig`` and read the sections they need from it. The module
-generates synthetic temperature sweeps (for the synth command and for
-end-to-end round-trip testing) and calibrates the model scale factors
-against a pair of (temperature, Qi) anchor points:
+Every evaluation of the film and loss model goes through this module.
+``film_response`` is the film stage (Mattis-Bardeen conductivity -> surface
+impedance); ``cpwloss mb`` prints it. ``theory_chain`` adds the line and TLS
+stages (geometric inductance -> quasiparticle loss -> TLS loss -> Qi) once
+over an array of temperatures; sweep analysis, ``loss_chain`` and the
+calibration build on it. All of them take the whole ``AnalysisConfig`` and
+read the sections they need from it. The module generates synthetic
+temperature sweeps (for the synth command and for end-to-end round-trip
+testing) and calibrates the model scale factors against a pair of
+(temperature, Qi) anchor points:
 
 * ``tls_f_delta0_for_q`` pins the TLS strength so Q_TLS(t) hits a target at
   a cold anchor where quasiparticle loss is negligible.
 * ``calibrate_sweep_config`` then solves the per-square-to-per-length
   geometry factor g so the quasiparticle channel reproduces the remaining
-  loss at a warm anchor, from one conductivity and surface-impedance
-  evaluation at both anchors. The solve is algebraic: delta = Rs g /
-  (omega (Ls g + Lg)) gives g = delta omega Lg / (Rs - delta omega Ls).
+  loss at a warm anchor, from one ``theory_chain`` evaluation at both
+  anchors. The solve is algebraic: delta = Rs g / (omega (Ls g + Lg)) gives
+  g = delta omega Lg / (Rs - delta omega Ls).
 
 The resonance frequency tracks the total line inductance,
 fr(T) = f0 * sqrt(Ltot(T0) / Ltot(T)) with Ltot = Lg + g * Ls(T).
@@ -30,17 +33,28 @@ import numpy as np
 from ..constants import HBAR_EVS, KB_EV, angular_frequency
 from ..errors import ConfigError
 from ..impedance import (
-    CpwGeometry,
     SurfaceImpedance,
     geometric_inductance,
     kinetic_fraction,
     qp_loss_theory,
     surface_impedance,
 )
-from ..lossmodel import TlsParams, q_tls, qi_theory
-from ..mbcore import ComplexConductivity, MaterialParams, complex_conductivity
+from ..lossmodel import q_tls, qi_theory
+from ..mbcore import ComplexConductivity, complex_conductivity
 from ..resfit import NotchParams, S21Trace, synth_trace
 from .config import AnalysisConfig, config_from_dict
+
+
+def film_response(
+    config: AnalysisConfig, omega: float, temps
+) -> tuple[ComplexConductivity, SurfaceImpedance]:
+    """Complex conductivity and surface impedance of the config's film at
+    angular frequency omega over an array of temperatures."""
+    config.require("material")
+    sigma = complex_conductivity(
+        config.material, temps, omega, config.fit.sigma2_prefactor
+    )
+    return sigma, surface_impedance(sigma)
 
 
 @dataclass(frozen=True)
@@ -49,6 +63,8 @@ class TheoryChain:
 
     sigma: ComplexConductivity
     zs: SurfaceImpedance
+    lg_h_per_m: float
+    g_per_m: float
     delta_qp: np.ndarray
     q_tls: np.ndarray
     qi_theory: np.ndarray
@@ -61,12 +77,11 @@ def theory_chain(config: AnalysisConfig, omega: float, temps) -> TheoryChain:
     config.require("material", "geometry", "tls")
     temps = np.asarray(temps, dtype=float)
     fit, geometry = config.fit, config.geometry
-    sigma = complex_conductivity(config.material, temps, omega, fit.sigma2_prefactor)
-    zs = surface_impedance(sigma)
+    sigma, zs = film_response(config, omega, temps)
     lg, g = geometric_inductance(geometry), fit.geom_factor(geometry)
     delta_qp = qp_loss_theory(zs, lg, g)
     qtls = q_tls(temps, fit.n_photon, config.tls, omega)
-    return TheoryChain(sigma, zs, delta_qp, qtls, qi_theory(qtls, delta_qp))
+    return TheoryChain(sigma, zs, lg, g, delta_qp, qtls, qi_theory(qtls, delta_qp))
 
 
 @dataclass(frozen=True)
@@ -95,8 +110,7 @@ def loss_chain(config: AnalysisConfig) -> list[ChainPoint]:
         raise ConfigError("the loss chain needs run.frequency_hz and run.temperatures")
     temps = np.sort(np.asarray(run.temperatures, dtype=float))
     chain = theory_chain(config, angular_frequency(run.frequency_hz), temps)
-    lg, g = geometric_inductance(config.geometry), config.fit.geom_factor(config.geometry)
-    ltot = lg + g * chain.zs.ls_henry
+    ltot = chain.lg_h_per_m + chain.g_per_m * chain.zs.ls_henry
     fr = run.frequency_hz * np.sqrt(ltot[0] / ltot)
     qi_total = 1.0 / (1.0 / chain.qi_theory + run.excess_loss)
     columns = (temps, fr, chain.q_tls, chain.delta_qp, chain.qi_theory, qi_total)
@@ -196,22 +210,21 @@ def calibrate_sweep_config(
         "thickness_m": 100e-9,
         "substrate_eps_r": 11.7,
     }
-    sigma2_prefactor = "pi"
     f_delta0 = tls_f_delta0_for_q(qi_cold, t_cold, f0_hz, n_c, beta_exp, n_photon)
-    tls = TlsParams(f_delta0=f_delta0, n_c=n_c, beta_exp=beta_exp)
-
-    material_probe = MaterialParams(**material_doc, alpha=1.0)
-    geometry = CpwGeometry(**geometry_doc)
+    tls_doc = {"f_delta0": f_delta0, "n_c": n_c, "beta_exp": beta_exp}
+    fit_doc = {"sigma2_prefactor": "pi", "gap_model": "bcs_tanh", "n_photon": n_photon}
+    probe = config_from_dict({
+        "material": {**material_doc, "alpha": 1.0},
+        "geometry": geometry_doc,
+        "tls": tls_doc,
+        "fit": fit_doc,
+    })
     omega0 = angular_frequency(f0_hz)
-    tls_hot_loss = 1.0 / q_tls(t_hot, n_photon, tls, omega0)
-    target_delta = 1.0 / qi_hot - tls_hot_loss
+    chain = theory_chain(probe, omega0, [t_cold, t_hot])
+    target_delta = 1.0 / qi_hot - 1.0 / chain.q_tls[1]
     if target_delta <= 0:
         raise ValueError("warm anchor is above the TLS-only prediction")
-    zs = surface_impedance(
-        complex_conductivity(
-            material_probe, np.array([t_cold, t_hot]), omega0, sigma2_prefactor
-        )
-    )
+    zs, lg = chain.zs, chain.lg_h_per_m
     rs_hot, ls_hot = float(zs.rs_ohm[1]), float(zs.ls_henry[1])
     headroom = rs_hot - target_delta * omega0 * ls_hot
     if headroom <= 0:
@@ -219,7 +232,6 @@ def calibrate_sweep_config(
             "target loss exceeds the fully kinetic limit Rs/(omega*Ls) "
             f"= {rs_hot / (omega0 * ls_hot):.3e}"
         )
-    lg = geometric_inductance(geometry)
     g = float(target_delta * omega0 * lg / headroom)
     alpha = float(kinetic_fraction(zs, lg, g)[0])
 
@@ -228,13 +240,8 @@ def calibrate_sweep_config(
     return {
         "material": {**material_doc, "alpha": alpha},
         "geometry": geometry_doc,
-        "tls": {"f_delta0": f_delta0, "n_c": n_c, "beta_exp": beta_exp},
-        "fit": {
-            "sigma2_prefactor": sigma2_prefactor,
-            "gap_model": "bcs_tanh",
-            "n_photon": n_photon,
-            "geom_factor_per_m": g,
-        },
+        "tls": tls_doc,
+        "fit": {**fit_doc, "geom_factor_per_m": g},
         "run": {
             "frequency_hz": f0_hz,
             "seed": seed,

@@ -6,8 +6,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cpwloss import CpwGeometry, MaterialParams, NotchParams
 from cpwloss.constants import angular_frequency
+from cpwloss.impedance import CpwGeometry
+from cpwloss.mbcore import MaterialParams
+from cpwloss.resfit import NotchParams
 
 F0_HZ = 5.95e9
 OMEGA0 = angular_frequency(F0_HZ)

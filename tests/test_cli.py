@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from cpwloss import cli
+from cpwloss.constants import angular_frequency
 from cpwloss.pipeline.config import config_from_dict
-from cpwloss.pipeline.forward import calibrate_sweep_config, synth_sweep
+from cpwloss.pipeline.forward import calibrate_sweep_config, synth_sweep, theory_chain
 from cpwloss.pipeline.io import write_s21_csv
 from cpwloss.resfit import NotchParams, synth_trace
 from conftest import default_grid
@@ -167,6 +168,17 @@ class TestFitAndSynth:
         tr = ingest_s21(out_file)
         assert len(tr) == 2001
 
+    @pytest.mark.parametrize("kind", [("--kind", "trace"), ()])
+    def test_synth_trace_with_config_is_input_error(self, capsys, tmp_path, kind):
+        out_file = tmp_path / "t.csv"
+        rc, out, err = run_cli(
+            capsys, "synth", *kind, "--config", str(tmp_path / "missing.json"),
+            "--out", str(out_file),
+        )
+        assert rc == 1
+        assert out == "" and "--config" in err
+        assert not out_file.exists()
+
     def test_csv_quotes_a_path_with_a_comma(self, capsys, tmp_path):
         p = NotchParams(fr_hz=5.95e9, ql=7e4, qc_mag=1e5, phi_rad=0.15)
         path = tmp_path / "a,b" / "t.csv"
@@ -240,6 +252,32 @@ class TestMb:
         writer.writerow(rows[0])
         writer.writerows(row.values() for row in rows)
         assert out_csv == want.getvalue()
+
+    def test_columns_are_the_chains_film_stage(self, capsys, sweep_setup):
+        # mb prints the film stage of theory_chain, bit for bit
+        cfg_path, _ = sweep_setup
+        rc, out, _ = run_cli(
+            capsys, "mb", "--config", str(cfg_path), "--tmin", "0.2", "--tmax", "9.0",
+            "--points", "41", "--freq-hz", "6.1e9",
+        )
+        assert rc == 0
+        rows = json.loads(out)
+        temps = np.linspace(0.2, 9.0, 41)
+        config = config_from_dict(json.loads(cfg_path.read_text()))
+        chain = theory_chain(config, angular_frequency(6.1e9), temps)
+        sigma, zs = chain.sigma, chain.zs
+        want = {
+            "temperature_k": temps,
+            "sigma1_norm": sigma.sigma1_norm,
+            "sigma2_norm": sigma.sigma2_norm,
+            "sigma1_s_per_m": sigma.sigma1,
+            "sigma2_s_per_m": sigma.sigma2,
+            "rs_ohm_sq": zs.rs_ohm,
+            "ls_h_sq": zs.ls_henry,
+        }
+        assert {k: [row[k] for row in rows] for k in want} == {
+            k: v.tolist() for k, v in want.items()
+        }
 
     def test_empty_csv_is_the_header_row(self, capsys, sweep_setup):
         cfg_path, _ = sweep_setup
@@ -619,8 +657,7 @@ def test_subcommand_takes_the_flags_it_reads(command):
         ("photon", "--ql", "1e200", "--qc", "1e200", "--qi", "1", "--freq-hz", "1",
          "--pin-dbm", "0"),
         ("photon", *PHOTON_Q, "--freq-hz", "1e200", "--pin-dbm", "-100"),
-        ("photon", *PHOTON_Q, "--freq-hz", "1e200", "--pin-dbm", "-100",
-         "--n-target", "1"),
+        ("photon", *PHOTON_Q, "--freq-hz", "1e200", "--n-target", "1"),
     ],
 )
 def test_photon_overflow_is_input_error(capsys, argv):
@@ -631,12 +668,36 @@ def test_photon_overflow_is_input_error(capsys, argv):
     assert "overflows" in err
 
 
+@pytest.mark.parametrize("mode", [("--pin-dbm", "-135"), ("--n-target", "1")])
+def test_photon_att_db_without_pvna_dbm_is_input_error(capsys, mode):
+    rc, out, err = run_cli(
+        capsys, "photon", *PHOTON_Q, "--freq-hz", "5.95e9", *mode, "--att-db", "-110"
+    )
+    assert rc == 1
+    assert out == "" and "--att-db" in err
+
+
+@pytest.mark.parametrize("att, p_in", [(("--att-db", "-110"), -135.0), ((), -25.0)])
+def test_photon_pvna_dbm_takes_att_db(capsys, att, p_in):
+    rc, out, _ = run_cli(
+        capsys, "photon", *PHOTON_Q, "--freq-hz", "5.95e9", "--pvna-dbm", "-25", *att
+    )
+    assert rc == 0
+    assert json.loads(out)["p_in_dbm"] == p_in
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (("synth", "--points", "1e400"), "invalid int value"),
         (("fit",), "required: trace"),
         (("bogus",), "invalid choice"),
+        (("photon", *PHOTON_Q, "--freq-hz", "5.95e9", "--pin-dbm", "-135",
+          "--pvna-dbm", "-25", "--att-db", "-110"), "not allowed with argument --pin-dbm"),
+        (("photon", *PHOTON_Q, "--freq-hz", "5.95e9", "--n-target", "1",
+          "--pin-dbm", "-135"), "not allowed with argument --n-target"),
+        (("photon", *PHOTON_Q, "--freq-hz", "5.95e9"),
+         "one of the arguments --pin-dbm --pvna-dbm --n-target is required"),
     ],
 )
 def test_usage_error_is_input_error(capsys, argv, message):
