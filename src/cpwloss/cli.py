@@ -45,6 +45,17 @@ def _emit(record: dict, args) -> None:
         sys.stdout.write(table_text({k: [v] for k, v in record.items()}, "csv"))
 
 
+# the flags that only `synth --kind trace` reads, by dest, with their defaults
+_TRACE_FLAGS = {
+    "fr_hz": 5.95e9, "ql": 7e4, "qc": 1e5, "phi": 0.0, "amp": 1.0, "phase0": 0.0,
+    "tau": 0.0, "noise": 0.0, "points": 2001, "span_linewidths": 10.0, "temperature": None,
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _require_config(args) -> AnalysisConfig:
     if not args.config:
         raise ConfigError("this command needs --config <path>")
@@ -75,7 +86,7 @@ def cmd_mb(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    trace = ingest_s21(args.trace, fmt=args.trace_format)
+    trace = ingest_s21(args.trace)
     out = {"source": trace.source, **fit_record(fit_notch(trace))}
     if args.format == "csv":  # the stderr and flags blocks have no CSV cell
         out = {k: v for k, v in out.items() if not isinstance(v, (dict, list))}
@@ -141,7 +152,11 @@ def cmd_photon(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # a trace flag is in args only when given (its parser default is SUPPRESS)
+    given = [_flag(dest) for dest in _TRACE_FLAGS if dest in vars(args)]
     if args.kind == "sweep":
+        if given:
+            raise InputError(f"--kind sweep does not read {', '.join(given)}")
         config = _require_config(args)
         if args.seed is not None:
             config = replace(config, run=replace(config.run, seed=args.seed))
@@ -163,6 +178,7 @@ def cmd_synth(args) -> int:
         return 0
     if args.config:
         raise InputError("--config is read only by --kind sweep")
+    args = argparse.Namespace(**{**_TRACE_FLAGS, **vars(args)})
     params = NotchParams(
         fr_hz=args.fr_hz,
         ql=args.ql,
@@ -241,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", parents=[fmt], help="fit one S21 trace")
     p_fit.add_argument("trace", help="trace file (CSV or .s2p)")
-    p_fit.add_argument(
-        "--trace-format", choices=("auto", "csv", "touchstone"), default="auto"
-    )
     p_fit.set_defaults(func=cmd_fit)
 
     p_sweep = sub.add_parser(
@@ -268,19 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
         "synth", parents=[config, out, seed], help="generate synthetic traces"
     )
     p_synth.add_argument("--kind", choices=("trace", "sweep"), default="trace")
-    p_synth.add_argument("--fr-hz", type=float, default=5.95e9, dest="fr_hz")
-    p_synth.add_argument("--ql", type=float, default=7e4)
-    p_synth.add_argument("--qc", type=float, default=1e5)
-    p_synth.add_argument("--phi", type=float, default=0.0)
-    p_synth.add_argument("--amp", type=float, default=1.0)
-    p_synth.add_argument("--phase0", type=float, default=0.0)
-    p_synth.add_argument("--tau", type=float, default=0.0)
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--points", type=int, default=2001)
-    p_synth.add_argument(
-        "--span-linewidths", type=float, default=10.0, dest="span_linewidths"
-    )
-    p_synth.add_argument("--temperature", type=float, default=None)
+    for dest in _TRACE_FLAGS:
+        p_synth.add_argument(
+            _flag(dest), dest=dest, type=int if dest == "points" else float,
+            default=argparse.SUPPRESS,
+        )
     p_synth.set_defaults(func=cmd_synth)
 
     p_dc = sub.add_parser("dc", parents=[fmt], help="Tc/RRR from an R(T) series")
@@ -304,8 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         # every float option maps to a flag named after its dest
         for dest, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
-                flag = "--" + dest.replace("_", "-")
-                raise InputError(f"{flag} must be a finite number, got {value}")
+                raise InputError(f"{_flag(dest)} must be a finite number, got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

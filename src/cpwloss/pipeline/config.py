@@ -4,7 +4,8 @@ Each section builds one record: ``material`` a ``mbcore.MaterialParams``,
 ``geometry`` an ``impedance.CpwGeometry``, ``tls`` a ``lossmodel.TlsParams``,
 ``fit`` a ``FitSettings`` and ``run`` a ``RunSettings``. ``AnalysisConfig``
 holds them, and the analysis chain takes it as one argument. Unknown keys
-are rejected at every level (typo safety). Sections other than ``fit`` and
+are rejected at every level (typo safety), and so is a value whose JSON type
+does not match its field's annotation. Sections other than ``fit`` and
 ``run`` may be absent at load time; the code that needs a section checks
 for it with ``AnalysisConfig.require``.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -78,6 +80,8 @@ class RunSettings:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"run.{name} must be positive")
+        if self.seed < 0:
+            raise ConfigError("run.seed must be >= 0")
         if self.temperatures is not None and not all(t > 0 for t in self.temperatures):
             raise ConfigError("run.temperatures must be positive")
         if self.noise_sigma < 0:
@@ -114,18 +118,51 @@ _SECTIONS = {
 }
 
 
+_WANTED = {"int": "an integer", "float": "a finite number", "str": "a string",
+           "tuple[float, ...]": "an array of finite numbers"}
+_JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string",
+               list: "array", dict: "object", type(None): "null"}
+
+
+def _number(value) -> bool:
+    """Whether a JSON value is a finite number; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def _typed(where: str, value, annotation: str):
+    """``value`` if it has the JSON type of a field annotated ``annotation``
+    (an array becomes a tuple of floats); ConfigError otherwise."""
+    wanted, _, optional = annotation.partition(" | ")
+    if value is None and optional == "None":
+        return value
+    if wanted == "tuple[float, ...]" and isinstance(value, (list, tuple)):
+        if all(map(_number, value)):
+            return tuple(float(t) for t in value)
+    elif wanted == "float" and _number(value) or wanted == "str" and isinstance(value, str):
+        return value
+    elif wanted == "int" and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    kind = _JSON_TYPES.get(type(value), type(value).__name__)
+    shown = f" {json.dumps(value)}" if kind in ("boolean", "number", "string") else ""
+    raise ConfigError(f"{where} must be {_WANTED[wanted]}, got JSON {kind}{shown}")
+
+
 def _build_section(name: str, cls, payload: dict):
     if not isinstance(payload, dict):
         raise ConfigError(f"config section '{name}' must be an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(payload) - allowed
+    # the annotations are strings (postponed evaluation in every record's module)
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = set(payload) - set(annotations)
     if unknown:
         raise ConfigError(
             f"unknown key(s) in config section '{name}': {sorted(unknown)}"
         )
-    data = dict(payload)
-    if name == "run" and isinstance(data.get("temperatures"), list):
-        data["temperatures"] = tuple(float(t) for t in data["temperatures"])
+    data = {k: _typed(f"{name}.{k}", v, annotations[k]) for k, v in payload.items()}
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

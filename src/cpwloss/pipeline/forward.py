@@ -49,12 +49,18 @@ def film_response(
     config: AnalysisConfig, omega: float, temps
 ) -> tuple[ComplexConductivity, SurfaceImpedance]:
     """Complex conductivity and surface impedance of the config's film at
-    angular frequency omega over an array of temperatures."""
+    angular frequency omega over an array of temperatures; ValueError when a
+    value is not finite (an extreme omega overflows the closed forms)."""
     config.require("material")
-    sigma = complex_conductivity(
-        config.material, temps, omega, config.fit.sigma2_prefactor
-    )
-    return sigma, surface_impedance(sigma)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
+        sigma = complex_conductivity(
+            config.material, temps, omega, config.fit.sigma2_prefactor
+        )
+        zs = surface_impedance(sigma)
+        finite = np.isfinite([sigma.sigma1, sigma.sigma2, zs.rs_ohm, zs.ls_henry])
+    if not finite.all():
+        raise ValueError(f"the film response at omega = {omega!r} rad/s is not finite")
+    return sigma, zs
 
 
 @dataclass(frozen=True)

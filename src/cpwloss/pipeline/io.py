@@ -1,15 +1,20 @@
 """Trace and transport-series ingestion.
 
-Supported inputs:
+Every text input shares one line grammar. The text is UTF-8 and is split
+into lines by ``str.splitlines``; each line is stripped of surrounding
+whitespace and numbered from 1. A blank line is skipped. A line that starts
+with the format's comment character is a comment: ``#`` in CSV and R(T)
+files, ``!`` in Touchstone. In trace files comments are read for the
+metadata tags ``temperature_K=...`` and ``power_dbm=...``; in Touchstone a
+trailing ``! comment`` is also cut off every other line. The remaining
+lines of each format are:
 
-* S21 CSV, header ``freq_hz,s21_re,s21_im`` or ``freq_hz,s21_db,s21_deg``
-  (auto-detected), one row per point, UTF-8, ``.`` decimal separator.
-  Optional ``# temperature_K=...`` and ``# power_dbm=...`` comment headers.
-* Touchstone v1 ``.s2p``, RI and DB/ANG formats; the S21 column is
-  extracted. ``! temperature_K=...`` comment tags are honoured, and the
-  last ``#`` option line applies to every data row.
-* R(T) CSV, header ``temperature_K,resistance_ohm``; ``#`` lines are
-  ignored.
+* S21 CSV: the header ``freq_hz,s21_re,s21_im`` or ``freq_hz,s21_db,s21_deg``
+  (auto-detected), then one row per point with ``,`` separators.
+* Touchstone v1 ``.s2p``: ``#`` option lines, RI and DB/ANG formats (the
+  last unit and format token given applies to every data row), and rows of
+  9 whitespace-separated numbers; the S21 column is extracted.
+* R(T) CSV: the header ``temperature_K,resistance_ohm``, then the rows.
 
 Data rows are parsed with numpy's number syntax (``1e9``, ``-0.5``,
 ``.25``); forms that only Python's ``float`` accepts, such as ``1_000``,
@@ -30,17 +35,9 @@ from ..errors import DataQualityWarning, InputError
 from ..resfit import S21Trace
 from .report import table_text
 
-_CSV_HEADERS = {
-    "freq_hz,s21_re,s21_im": "ri",
-    "freq_hz,s21_db,s21_deg": "db",
-}
-
+_CSV_HEADERS = {"freq_hz,s21_re,s21_im": "ri", "freq_hz,s21_db,s21_deg": "db"}
 _RT_HEADERS = {"temperature_k,resistance_ohm": "rt"}
-
-_META_KEYS = {"temperature_k": "temperature_k", "power_dbm": "power_dbm"}
-
-# trace format by file suffix: ingest_s21's auto-detection, and sweep directories
-TRACE_SUFFIXES = {".csv": "csv", ".s2p": "touchstone", ".snp": "touchstone"}
+_META_KEYS = ("temperature_k", "power_dbm")
 
 
 def read_bytes(path: str | Path) -> bytes:
@@ -63,22 +60,6 @@ def _read_text(p: Path, data: bytes | None = None) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {p}: {exc}") from exc
-
-
-def _parse_meta_comment(line: str, meta: dict, path, lineno: int) -> None:
-    body = line.lstrip("#!").strip()
-    if "=" not in body:
-        return
-    key, _, value = body.partition("=")
-    key_norm = key.strip().lower()
-    if key_norm in _META_KEYS:
-        try:
-            number = float(value.strip())
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
-            raise InputError(f"{path}:{lineno}: bad metadata value {line.strip()!r}")
-        meta[_META_KEYS[key_norm]] = number
 
 
 def _numbers(lines: list[str], ncols: int, delimiter: str | None) -> np.ndarray:
@@ -114,35 +95,47 @@ def _table(rows: list[tuple[int, str]], ncols: int, delimiter: str | None, path)
     return table
 
 
-def _csv_table(text: str, path, headers: dict, kind: str, meta: dict | None):
-    """Split a CSV document by the shared line grammar and parse its data.
-
-    Blank lines are skipped and ``#`` lines are comments (read for metadata
-    tags when ``meta`` is given); the first other line is the header, which
-    must be one of ``headers``; every later line is a data row. Returns the
-    header's mode, the numbered data rows and their float table.
+def _lines(text: str, path, comment: str, meta: dict | None = None, cut=False):
+    """Yield ``(lineno, line)`` for each stripped line of ``text`` that is
+    neither blank nor a whole-line ``comment``, with a trailing comment cut
+    off when ``cut`` is set; comment lines set the metadata tags in ``meta``
+    when it is given. Lines are scanned only as they are taken, so a
+    caller's error on an early line comes before a tag error on a later one.
     """
-    mode = None
-    rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            if meta is not None:
-                _parse_meta_comment(line, meta, path, lineno)
-            continue
-        if mode is None:
-            header = ",".join(tok.strip().lower() for tok in line.split(","))
-            if header not in headers:
-                raise InputError(f"{path}:{lineno}: unrecognized {kind} header {line!r}")
-            mode = headers[header]
-            ncols = header.count(",") + 1
-            continue
-        rows.append((lineno, line))
-    if mode is None:
+        if line[0] == comment:
+            key, eq, value = line.lstrip("#!").partition("=")
+            key = key.strip().lower()
+            if meta is None or not eq or key not in _META_KEYS:
+                continue
+            try:
+                number = float(value.strip())
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                raise InputError(f"{path}:{lineno}: bad metadata value {line!r}")
+            meta[key] = number
+        elif cut and comment in line:
+            yield lineno, line.split(comment, 1)[0].rstrip()
+        else:
+            yield lineno, line
+
+
+def _csv_table(text: str, path, headers: dict, kind: str, meta: dict | None):
+    """The header's mode, the numbered data rows and their float table of a
+    CSV document; its first line is the header, one of ``headers``."""
+    lines = _lines(text, path, "#", meta)
+    lineno, line = next(lines, (None, None))
+    if line is None:
         raise InputError(f"{path}: empty file (no header found)")
-    return mode, rows, _table(rows, ncols, ",", path)
+    header = ",".join(tok.strip().lower() for tok in line.split(","))
+    if header not in headers:
+        raise InputError(f"{path}:{lineno}: unrecognized {kind} header {line!r}")
+    rows = list(lines)
+    return headers[header], rows, _table(rows, header.count(",") + 1, ",", path)
 
 
 def _s21(mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,42 +184,35 @@ _TS_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 def _parse_touchstone(text: str, path) -> S21Trace:
     meta: dict = {}
-    unit = 1e9
-    fmt = "ma"
-    saw_option = False
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.lstrip().startswith("!"):
-            _parse_meta_comment(raw.strip(), meta, path, lineno)
-            continue
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            saw_option = True
-            for tok in line[1:].split():
-                low = tok.lower()
-                if low in _TS_UNITS:
-                    unit = _TS_UNITS[low]
-                elif low in ("ri", "db", "ma"):
-                    fmt = low
-            continue
-        rows.append((lineno, line))
-    if not saw_option and not rows:
+    lines = list(_lines(text, path, "!", meta, cut=True))
+    if not lines:
         raise InputError(f"{path}: empty touchstone file")
+    unit, fmt = 1e9, "ma"
+    # every token of the "#" option lines, in order; a later one overrides
+    for tok in " ".join(line[1:] for _, line in lines if line[0] == "#").lower().split():
+        if tok in _TS_UNITS:
+            unit = _TS_UNITS[tok]
+        elif tok in ("ri", "db", "ma"):
+            fmt = tok
     if fmt == "ma":
         raise InputError(f"{path}: MA-format touchstone is not supported; use RI or DB")
-    table = _table(rows, 9, None, path)
+    table = _table([row for row in lines if row[1][0] != "#"], 9, None, path)
     return _finish_trace(table[:, 0] * unit, _s21(fmt, table[:, 3], table[:, 4]), meta, path)
 
 
-def ingest_s21(path: str | Path, fmt: str = "auto", data: bytes | None = None) -> S21Trace:
-    """Read the S21 trace of a CSV or touchstone file.
+# the reader by trace-file suffix, in `fit` and `sweep` alike (any other
+# suffix reads as CSV); a sweep directory yields only files with these suffixes
+TRACE_SUFFIXES = {
+    ".csv": _parse_s21_csv, ".s2p": _parse_touchstone, ".snp": _parse_touchstone
+}
+
+
+def ingest_s21(path: str | Path, data: bytes | None = None) -> S21Trace:
+    """Read the S21 trace of a CSV or touchstone file, by its suffix
+    (``TRACE_SUFFIXES``).
 
     Args:
         path: input file.
-        fmt: "csv", "touchstone", or "auto" (by ``TRACE_SUFFIXES``; any
-            other suffix reads as CSV).
         data: the file's bytes, when the caller has read them already (to
             hash them, say); the file is then not read again.
 
@@ -234,12 +220,8 @@ def ingest_s21(path: str | Path, fmt: str = "auto", data: bytes | None = None) -
         The validated trace.
     """
     p = Path(path)
-    if fmt == "auto":
-        fmt = TRACE_SUFFIXES.get(p.suffix.lower(), "csv")
-    if fmt not in ("csv", "touchstone"):
-        raise InputError(f"unknown trace format {fmt!r}")
     text = _read_text(p, data)
-    parse = _parse_s21_csv if fmt == "csv" else _parse_touchstone
+    parse = TRACE_SUFFIXES.get(p.suffix.lower(), _parse_s21_csv)
     # a dB magnitude or a frequency unit can overflow to inf; S21Trace then
     # rejects the trace as non-finite, so the float warnings carry nothing
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -15,8 +16,10 @@ import pytest
 from cpwloss import cli
 from cpwloss.constants import angular_frequency
 from cpwloss.pipeline.config import config_from_dict
-from cpwloss.pipeline.forward import calibrate_sweep_config, synth_sweep, theory_chain
-from cpwloss.pipeline.io import write_s21_csv
+from cpwloss.pipeline.forward import (
+    calibrate_sweep_config, film_response, synth_sweep, theory_chain,
+)
+from cpwloss.pipeline.io import ingest_s21, write_s21_csv
 from cpwloss.resfit import NotchParams, synth_trace
 from conftest import default_grid
 
@@ -72,6 +75,55 @@ class TestExitCodes:
     def test_missing_input_is_1(self, capsys):
         rc, _, _ = run_cli(capsys, "dc", "/nonexistent/rt.csv")
         assert rc == 1
+
+    @pytest.mark.parametrize("inputs, message", [("missing", "input not found"),
+                                                 ("empty", "no input files")])
+    def test_sweep_without_input_files_is_1(
+        self, capsys, tmp_path, sweep_setup, inputs, message
+    ):
+        (tmp_path / "empty").mkdir()
+        cfg_path, _ = sweep_setup
+        out = tmp_path / "out"
+        rc, stdout, err = run_cli(
+            capsys, "sweep", str(tmp_path / inputs), "--config", str(cfg_path),
+            "--out", str(out),
+        )
+        assert rc == 1
+        assert stdout == "" and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("run", "npoints", 16.5, "JSON number 16.5"),
+            ("run", "seed", 1.5, "JSON number 1.5"),
+            ("run", "seed", -1, ">= 0"),
+            ("material", "tc_kelvin", True, "JSON boolean true"),
+            ("run", "temperatures", [0.5, True], "JSON array"),
+            ("material", "tc_kelvin", "10.7", 'JSON string "10.7"'),
+            ("material", "tc_kelvin", math.nan, "JSON number NaN"),
+            ("run", "noise_sigma", math.nan, "JSON number NaN"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["mb", "synth", "sweep"])
+    def test_config_value_of_the_wrong_type_is_3(
+        self, capsys, tmp_path, sweep_setup, section, key, value, named, command
+    ):
+        cfg_path, traces_dir = sweep_setup
+        doc = json.loads(cfg_path.read_text())
+        doc[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "mb": ["mb", "--points", "2"],
+            "synth": ["synth", "--kind", "sweep", "--out", str(out)],
+            "sweep": ["sweep", str(traces_dir), "--out", str(out)],
+        }[command]
+        rc, stdout, err = run_cli(capsys, *argv, "--config", str(bad))
+        assert rc == 3
+        assert stdout == "" and f"{section}.{key}" in err and named in err
+        assert not out.exists()
 
     def test_unfittable_trace_is_2(self, capsys, tmp_path):
         f = np.linspace(5.9e9, 6.0e9, 64)
@@ -178,6 +230,35 @@ class TestFitAndSynth:
         assert rc == 1
         assert out == "" and "--config" in err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--fr-hz", "--ql", "--qc", "--phi", "--amp", "--phase0", "--tau", "--noise",
+         "--points", "--span-linewidths", "--temperature"],
+    )
+    def test_synth_sweep_with_a_trace_flag_is_input_error(
+        self, capsys, tmp_path, sweep_setup, flag
+    ):
+        # each value but --temperature's is the flag's default, so only giving
+        # the flag is the fault
+        cfg_path, _ = sweep_setup
+        value = {"--fr-hz": "5.95e9", "--ql": "7e4", "--qc": "1e5", "--amp": "1",
+                 "--points": "2001", "--span-linewidths": "10",
+                 "--temperature": "0.5"}.get(flag, "0")
+        out_dir = tmp_path / "out"
+        rc, out, err = run_cli(
+            capsys, "synth", "--kind", "sweep", "--config", str(cfg_path), flag, value,
+            "--out", str(out_dir),
+        )
+        assert rc == 1
+        assert out == "" and flag in err
+        assert not out_dir.exists()
+
+    def test_synth_trace_into_an_existing_directory(self, capsys, tmp_path):
+        rc, out, _ = run_cli(capsys, "synth", "--points", "64", "--out", str(tmp_path))
+        assert rc == 0
+        assert out == f"wrote {tmp_path / 'trace.csv'}\n"
+        assert len(ingest_s21(tmp_path / "trace.csv")) == 64
 
     def test_csv_quotes_a_path_with_a_comma(self, capsys, tmp_path):
         p = NotchParams(fr_hz=5.95e9, ql=7e4, qc_mag=1e5, phi_rad=0.15)
@@ -300,6 +381,19 @@ class TestMb:
         assert rc == 1
         assert out == ""
         assert "gap closed" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_film_response_is_input_error(self, capsys, sweep_setup):
+        # sigma1 overflows at 1e-300 Hz, and Zs is then NaN
+        cfg_path, _ = sweep_setup
+        rc, out, err = run_cli(
+            capsys, "mb", "--config", str(cfg_path), "--points", "2", "--freq-hz", "1e-300"
+        )
+        assert rc == 1
+        assert out == "" and "not finite" in err
+        config = config_from_dict(json.loads(cfg_path.read_text()))
+        with pytest.raises(ValueError, match="not finite"):
+            film_response(config, angular_frequency(1e-300), [0.1, 3.0])
 
     def test_grid_just_below_tc_runs(self, capsys, sweep_setup):
         cfg_path, _ = sweep_setup
@@ -469,20 +563,24 @@ class TestSweepCommand:
         ]
 
     def test_fit_prints_the_reports_fit_block(self, capsys, tmp_path, sweep_setup):
-        cfg_path, traces_dir = sweep_setup
-        out = tmp_path / "out"
-        rc, _, _ = run_cli(
-            capsys, "sweep", str(traces_dir), "--config", str(cfg_path),
-            "--out", str(out),
-        )
-        assert rc == 0
-        entry = json.loads((out / "report.json").read_text())["per_temperature"][2]
-        rc, stdout, _ = run_cli(capsys, "fit", entry["source"])
-        assert rc == 0
-        fit = json.loads(stdout)
-        assert fit.pop("source") == entry["source"]
-        # same keys in the same order, nested stderr included
-        assert json.dumps(fit) == json.dumps(entry["fit"])
+        # in each trace format: both commands pick the reader by suffix
+        cfg_path, ri_dir = sweep_setup
+        for fmt in ("ri", "db", "s2p"):
+            traces_dir = ri_dir if fmt == "ri" else _rewritten(ri_dir, tmp_path / fmt, fmt)
+            out = tmp_path / f"out_{fmt}"
+            rc, _, _ = run_cli(
+                capsys, "sweep", str(traces_dir), "--config", str(cfg_path),
+                "--out", str(out),
+            )
+            assert rc == 0
+            entry = json.loads((out / "report.json").read_text())["per_temperature"][2]
+            assert Path(entry["source"]).parent == traces_dir
+            rc, stdout, _ = run_cli(capsys, "fit", entry["source"])
+            assert rc == 0
+            fit = json.loads(stdout)
+            assert fit.pop("source") == entry["source"]
+            # same keys in the same order, nested stderr included
+            assert json.dumps(fit) == json.dumps(entry["fit"])
 
     def test_synth_sweep_command(self, capsys, tmp_path, sweep_setup):
         cfg_path, _ = sweep_setup
@@ -493,6 +591,27 @@ class TestSweepCommand:
         )
         assert rc == 0
         assert len(list(out_dir.glob("*.csv"))) == 6
+
+    def test_synth_sweep_seed_is_the_configs_run_seed(self, capsys, tmp_path, sweep_setup):
+        cfg_path, _ = sweep_setup
+        doc = json.loads(cfg_path.read_text())
+        assert doc["run"]["seed"] != 5
+        doc["run"]["seed"] = 5
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps(doc))
+        runs = {
+            "flag": ("--config", str(cfg_path), "--seed", "5"),
+            "config": ("--config", str(seeded)),
+            "plain": ("--config", str(cfg_path)),
+        }
+        files = {}
+        for name, argv in runs.items():
+            out_dir = tmp_path / name
+            rc, _, _ = run_cli(capsys, "synth", "--kind", "sweep", *argv, "--out", str(out_dir))
+            assert rc == 0
+            files[name] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        assert len(files["flag"]) == 6
+        assert files["flag"] == files["config"] != files["plain"]
 
     def test_synth_sweep_name_collision_is_config_error(self, capsys, tmp_path, sweep_setup):
         # 0.12 and 0.12003 K both round to s21_T0.1200K.csv
@@ -510,6 +629,26 @@ class TestSweepCommand:
         assert out == ""
         assert "0.12 K" in err and "0.12003 K" in err and "s21_T0.1200K.csv" in err
         assert not out_dir.exists()
+
+
+def _rewritten(traces_dir: Path, out_dir: Path, fmt: str) -> Path:
+    """A copy of a directory of RI CSV traces, each file rewritten as a
+    dB/deg CSV ("db") or as a DB-format Touchstone file ("s2p")."""
+    out_dir.mkdir()
+    for path in sorted(traces_dir.iterdir()):
+        tr = ingest_s21(path)
+        db, deg = 20.0 * np.log10(np.abs(tr.s21)), np.degrees(np.angle(tr.s21))
+        rows = zip(tr.freq_hz.tolist(), db.tolist(), deg.tolist())
+        if fmt == "db":
+            lines = [f"# temperature_K={tr.temperature_k!r}", "freq_hz,s21_db,s21_deg"]
+            lines += [f"{f!r},{a!r},{b!r}" for f, a, b in rows]
+            name = path.name
+        else:
+            lines = [f"! temperature_K={tr.temperature_k!r}", "# HZ S DB R 50"]
+            lines += [f"{f!r} 0 0 {a!r} {b!r} {a!r} {b!r} 0 0 ! S21 = S12" for f, a, b in rows]
+            name = path.with_suffix(".s2p").name
+        (out_dir / name).write_text("\n".join(lines) + "\n")
+    return out_dir
 
 
 def run_probe(probe: str, *args: str) -> list[str]:
@@ -668,6 +807,16 @@ def test_photon_overflow_is_input_error(capsys, argv):
     assert "overflows" in err
 
 
+def test_photon_n_target_is_the_power_of_n_photons(capsys):
+    q = ("--ql", "5e4", "--qc", "1e5", "--qi", "2.5e5", "--freq-hz", "5.95e9")
+    rc, out, _ = run_cli(capsys, "photon", *q, "--n-target", "1")
+    assert rc == 0
+    assert json.loads(out) == {"n_target": 1.0, "p_in_dbm": -151.71478232712695}
+    rc, out, _ = run_cli(capsys, "photon", *q, "--pin-dbm", "-151.71478232712695")
+    assert rc == 0
+    assert json.loads(out)["n_ph"] == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("mode", [("--pin-dbm", "-135"), ("--n-target", "1")])
 def test_photon_att_db_without_pvna_dbm_is_input_error(capsys, mode):
     rc, out, err = run_cli(
@@ -698,6 +847,7 @@ def test_photon_pvna_dbm_takes_att_db(capsys, att, p_in):
           "--pin-dbm", "-135"), "not allowed with argument --n-target"),
         (("photon", *PHOTON_Q, "--freq-hz", "5.95e9"),
          "one of the arguments --pin-dbm --pvna-dbm --n-target is required"),
+        (("fit", "--trace-format", "csv", "t.csv"), "unrecognized arguments: --trace-format"),
     ],
 )
 def test_usage_error_is_input_error(capsys, argv, message):

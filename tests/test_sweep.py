@@ -202,6 +202,19 @@ class TestSweepAnalyze:
         )
         assert report_to_dict(report2) == report_to_dict(report)
 
+    def test_no_onset_below_the_noise(self, calibrated_doc):
+        # cold traces red-shift by a few Hz, inside 3 stderr(fr): no onset,
+        # and the threshold is the relative floor
+        doc = dict(calibrated_doc, run=dict(
+            calibrated_doc["run"], temperatures=[0.12, 0.2, 0.3, 0.4], noise_sigma=5e-3
+        ))
+        config = config_from_dict(doc)
+        report = sweep_analyze(synth_sweep(config), config)
+        max_red = -min(e.delta_f_hz for e in report.entries)
+        assert max_red > 0
+        assert report.derived["redshift_onset_k"] is None
+        assert report.derived["redshift_threshold_hz"] == 0.01 * max_red
+
     def test_corrupt_trace_degrades_gracefully(self, analyzed):
         config, traces, _ = analyzed
         rng = np.random.default_rng(4)
