@@ -71,16 +71,8 @@ def _read_trace(path: Path) -> tuple[S21Trace, str]:
 def cmd_mb(args) -> int:
     config = _require_config(args)
     temps = np.linspace(args.tmin, args.tmax, args.points)
-    sigma, zs = film_response(config, angular_frequency(args.freq_hz), temps)
-    columns = {
-        "temperature_k": temps,
-        "sigma1_norm": sigma.sigma1_norm,
-        "sigma2_norm": sigma.sigma2_norm,
-        "sigma1_s_per_m": sigma.sigma1,
-        "sigma2_s_per_m": sigma.sigma2,
-        "rs_ohm_sq": zs.rs_ohm,
-        "ls_h_sq": zs.ls_henry,
-    }
+    film = film_response(config, angular_frequency(args.freq_hz), temps)
+    columns = {"temperature_k": temps, **vars(film)}
     sys.stdout.write(table_text(columns, args.format))
     return 0
 

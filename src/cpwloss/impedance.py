@@ -6,7 +6,9 @@ inductance of the coplanar line to form the theoretical quasiparticle loss
 tangent. Surface impedance is a per-square quantity while the geometric
 inductance is per unit length; an explicit geometry factor g (1/m) converts
 between the two (default g = 1/w, the center-strip current concentration
-approximation).
+approximation). The film functions take and return plain arrays (or
+scalars), elementwise over temperature; ``pipeline.forward.film_response``
+holds their film-stage results in one record.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MU0
-from .mbcore import ComplexConductivity
 
 
 @dataclass(frozen=True)
@@ -39,20 +40,6 @@ class CpwGeometry:
     def k0(self) -> float:
         """Conformal-mapping modulus w / (w + 2s), in (0, 1)."""
         return self.center_width_m / (self.center_width_m + 2.0 * self.gap_m)
-
-
-@dataclass(frozen=True)
-class SurfaceImpedance:
-    """Per-square surface impedance Rs + j*omega*Ls at angular frequency omega,
-    at one temperature or elementwise over an array of them."""
-
-    rs_ohm: float | np.ndarray
-    ls_henry: float | np.ndarray
-    omega_rad: float
-
-    @property
-    def zs(self):
-        return self.rs_ohm + 1j * (self.omega_rad * self.ls_henry)
 
 
 def elliptic_k(k: float) -> float:
@@ -87,26 +74,23 @@ def geometric_inductance(geom: CpwGeometry) -> float:
     return (MU0 / 4.0) * elliptic_k(k0p) / elliptic_k(k0)
 
 
-def surface_impedance(sigma: ComplexConductivity) -> SurfaceImpedance:
-    """Dirty-limit surface impedance from the complex conductivity.
+def surface_impedance(sigma, omega_rad: float):
+    """Dirty-limit surface impedance Zs = Rs + j*omega*Ls from the complex
+    conductivity sigma = sigma1 - j*sigma2 in S/m, elementwise.
 
-    Zs = sqrt(j mu0 omega / (sigma1 - j sigma2)), principal branch,
-    Re(Zs) >= 0. This is the semi-infinite form; no finite-thickness
-    correction is applied. A conductivity record over an array of
-    temperatures gives Rs and Ls arrays of the same shape.
+    Zs = sqrt(j mu0 omega / sigma), principal branch, Re(Zs) >= 0. This is
+    the semi-infinite form; no finite-thickness correction is applied.
     """
-    s = sigma.sigma
-    if np.any(s == 0):
+    if np.any(sigma == 0):
         raise ValueError("conductivity is zero; surface impedance undefined")
-    omega = sigma.omega_rad
-    zs = np.sqrt(1j * MU0 * omega / s)
+    zs = np.sqrt(1j * MU0 * omega_rad / sigma)
     if np.any(zs.real < 0):
         raise ValueError("surface impedance left the principal branch (Re < 0)")
-    return SurfaceImpedance(rs_ohm=zs.real, ls_henry=zs.imag / omega, omega_rad=omega)
+    return zs
 
 
 def qp_loss_theory(
-    zs: SurfaceImpedance, lg_h_per_m: float, geom_factor_per_m: float
+    rs_ohm, ls_henry, omega_rad: float, lg_h_per_m: float, geom_factor_per_m: float
 ):
     """Theoretical quasiparticle loss tangent of the loaded line.
 
@@ -118,17 +102,15 @@ def qp_loss_theory(
         raise ValueError("geometric inductance must be positive")
     if geom_factor_per_m <= 0:
         raise ValueError("geometry factor must be positive")
-    denom = zs.omega_rad * (zs.ls_henry * geom_factor_per_m + lg_h_per_m)
+    denom = omega_rad * (ls_henry * geom_factor_per_m + lg_h_per_m)
     if np.any(denom <= 0):
         raise ValueError("non-positive inductive denominator: unphysical inputs")
-    return zs.rs_ohm * geom_factor_per_m / denom
+    return rs_ohm * geom_factor_per_m / denom
 
 
-def kinetic_fraction(
-    zs: SurfaceImpedance, lg_h_per_m: float, geom_factor_per_m: float
-):
+def kinetic_fraction(ls_henry, lg_h_per_m: float, geom_factor_per_m: float):
     """Kinetic-inductance fraction alpha = Ls*g / (Ls*g + Lg)."""
-    lk = zs.ls_henry * geom_factor_per_m
+    lk = ls_henry * geom_factor_per_m
     if np.any(lk <= 0) or lg_h_per_m <= 0:
         raise ValueError("inductances must be positive")
     return lk / (lk + lg_h_per_m)

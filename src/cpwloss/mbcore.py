@@ -5,6 +5,9 @@ normalized conductivity sigma(T) = sigma1(T) - j*sigma2(T) of a
 superconductor in the dirty limit, evaluated with the scaled Bessel
 functions ``k0e`` and ``i0e``. The quadrature of the full integrals that
 checks these closed forms lives with the tests, in ``tests/oracles.py``.
+The film stage, ``pipeline.forward.film_response``, scales them by the
+normal-state conductivity of ``MaterialParams`` and turns them into a
+surface impedance.
 
 All functions are pure and thread-safe. Temperatures in K, angular
 frequencies in rad/s, energies in eV.
@@ -109,7 +112,10 @@ def gap_at_zero(tc_kelvin: float) -> float:
     return BCS_GAP_RATIO * KB_EV * tc_kelvin
 
 
-def _require_below_tc(t: np.ndarray, tc_kelvin: float) -> None:
+def require_below_tc(t: np.ndarray, tc_kelvin: float) -> None:
+    """ValueError unless every temperature lies below Tc: the closed forms
+    hold delta0 fixed, so they give no warning of their own once the gap
+    has closed."""
     if np.any(t >= tc_kelvin):
         raise ValueError(
             f"T = {t.max()} K >= Tc = {tc_kelvin} K: gap closed, model invalid"
@@ -133,7 +139,7 @@ def gap_at_temperature(
     t = np.asarray(t_kelvin, dtype=float)
     if np.any(t < 0):
         raise ValueError("temperature must be >= 0")
-    _require_below_tc(t, tc_kelvin)
+    require_below_tc(t, tc_kelvin)
     if model == "constant":
         gap = np.full(t.shape, delta0_ev)
     else:
@@ -223,13 +229,6 @@ def mb_sigma_norm(
     return sigma1, sigma2
 
 
-def sigma_n_from_sheet(sheet_resistance_ohm: float, thickness_m: float) -> float:
-    """Normal-state conductivity 1/(R_square * d), in S/m."""
-    if sheet_resistance_ohm <= 0 or thickness_m <= 0:
-        raise ValueError("sheet resistance and thickness must be positive")
-    return 1.0 / (sheet_resistance_ohm * thickness_m)
-
-
 @dataclass(frozen=True)
 class MaterialParams:
     """Superconducting film constants.
@@ -266,57 +265,4 @@ class MaterialParams:
     @property
     def sigma_n(self) -> float:
         """Normal-state conductivity, S/m."""
-        return sigma_n_from_sheet(self.sheet_resistance_ohm, self.thickness_m)
-
-
-@dataclass(frozen=True)
-class ComplexConductivity:
-    """Normalized and absolute conductivity of the film at angular frequency
-    omega, at one temperature or elementwise over an array of them."""
-
-    sigma1_norm: float | np.ndarray
-    sigma2_norm: float | np.ndarray
-    sigma_n: float
-    temperature_k: float | np.ndarray
-    omega_rad: float
-
-    @property
-    def sigma1(self):
-        """Absolute sigma1, S/m."""
-        return self.sigma1_norm * self.sigma_n
-
-    @property
-    def sigma2(self):
-        """Absolute sigma2, S/m."""
-        return self.sigma2_norm * self.sigma_n
-
-    @property
-    def sigma(self):
-        """Complex conductivity sigma1 - j*sigma2, S/m."""
-        return self.sigma1 - 1j * self.sigma2
-
-
-def complex_conductivity(
-    params: MaterialParams,
-    t_kelvin,
-    omega_rad: float,
-    sigma2_prefactor: str = "four",
-) -> ComplexConductivity:
-    """Film conductivity record at angular frequency omega.
-
-    ``t_kelvin`` is one temperature or an array of them; the record's
-    conductivity fields then have its shape. Every temperature must lie
-    below ``params.tc_kelvin``: the closed forms hold delta0 fixed, so they
-    give no warning of their own once the gap has closed.
-    """
-    _require_below_tc(np.asarray(t_kelvin, dtype=float), params.tc_kelvin)
-    s1n, s2n = mb_sigma_norm(
-        t_kelvin, omega_rad, params.delta0_ev, sigma2_prefactor=sigma2_prefactor
-    )
-    return ComplexConductivity(
-        sigma1_norm=s1n,
-        sigma2_norm=s2n,
-        sigma_n=params.sigma_n,
-        temperature_k=t_kelvin,
-        omega_rad=omega_rad,
-    )
+        return 1.0 / (self.sheet_resistance_ohm * self.thickness_m)

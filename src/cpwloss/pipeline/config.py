@@ -82,8 +82,10 @@ class RunSettings:
                 raise ConfigError(f"run.{name} must be positive")
         if self.seed < 0:
             raise ConfigError("run.seed must be >= 0")
-        if self.temperatures is not None and not all(t > 0 for t in self.temperatures):
-            raise ConfigError("run.temperatures must be positive")
+        if self.temperatures is not None and not (
+            self.temperatures and all(t > 0 for t in self.temperatures)
+        ):
+            raise ConfigError("run.temperatures must be non-empty and positive")
         if self.noise_sigma < 0:
             raise ConfigError("run.noise_sigma must be >= 0")
         if self.npoints < 16:

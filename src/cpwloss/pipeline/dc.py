@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataQualityWarning, InputError
+from ..resfit import median
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def extract_tc_rrr(t_kelvin: np.ndarray, r_ohm: np.ndarray) -> DcExtraction:
     tc_coarse = _first_crossing(t, r, 0.5 * plateau_coarse)
 
     window = (t >= tc_coarse + 2.0) & (t <= tc_coarse + 20.0)
-    plateau = float(np.median(r[window])) if np.any(window) else plateau_coarse
+    plateau = median(r[window]) if np.any(window) else plateau_coarse
     tc = _first_crossing(t, r, 0.5 * plateau)
     t10 = _first_crossing(t, r, 0.1 * plateau)
     t90 = _first_crossing(t, r, 0.9 * plateau)

@@ -2,9 +2,11 @@
 
 Every evaluation of the film and loss model goes through this module.
 ``film_response`` is the film stage (Mattis-Bardeen conductivity -> surface
-impedance); ``cpwloss mb`` prints it. ``theory_chain`` adds the line and TLS
-stages (geometric inductance -> quasiparticle loss -> TLS loss -> Qi) once
-over an array of temperatures; sweep analysis, ``loss_chain`` and the
+impedance). It returns one ``FilmResponse`` record of arrays over the
+temperature grid, whose fields are the ``cpwloss mb`` columns after the
+temperature; ``cpwloss mb`` prints it. ``theory_chain`` adds the line and
+TLS stages (geometric inductance -> quasiparticle loss -> TLS loss -> Qi)
+once over an array of temperatures; sweep analysis, ``loss_chain`` and the
 calibration build on it. All of them take the whole ``AnalysisConfig`` and
 read the sections they need from it. The module generates synthetic
 temperature sweeps (for the synth command and for end-to-end round-trip
@@ -33,42 +35,57 @@ import numpy as np
 from ..constants import HBAR_EVS, KB_EV, angular_frequency
 from ..errors import ConfigError
 from ..impedance import (
-    SurfaceImpedance,
     geometric_inductance,
     kinetic_fraction,
     qp_loss_theory,
     surface_impedance,
 )
 from ..lossmodel import q_tls, qi_theory
-from ..mbcore import ComplexConductivity, complex_conductivity
+from ..mbcore import mb_sigma_norm, require_below_tc
 from ..resfit import NotchParams, S21Trace, synth_trace
 from .config import AnalysisConfig, config_from_dict
 
 
-def film_response(
-    config: AnalysisConfig, omega: float, temps
-) -> tuple[ComplexConductivity, SurfaceImpedance]:
-    """Complex conductivity and surface impedance of the config's film at
-    angular frequency omega over an array of temperatures; ValueError when a
-    value is not finite (an extreme omega overflows the closed forms)."""
+@dataclass(frozen=True)
+class FilmResponse:
+    """The film stage over a temperature grid, one array per field:
+    normalized and absolute conductivity sigma1 - j*sigma2, and the
+    per-square surface impedance Rs + j*omega*Ls."""
+
+    sigma1_norm: np.ndarray
+    sigma2_norm: np.ndarray
+    sigma1_s_per_m: np.ndarray
+    sigma2_s_per_m: np.ndarray
+    rs_ohm_sq: np.ndarray
+    ls_h_sq: np.ndarray
+
+
+def film_response(config: AnalysisConfig, omega: float, temps) -> FilmResponse:
+    """The config's film at angular frequency omega over an array of
+    temperatures, all below Tc; ValueError when a value is not finite (an
+    extreme omega overflows the closed forms)."""
     config.require("material")
+    material = config.material
+    temps = np.asarray(temps, dtype=float)
+    require_below_tc(temps, material.tc_kelvin)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-        sigma = complex_conductivity(
-            config.material, temps, omega, config.fit.sigma2_prefactor
+        s1n, s2n = mb_sigma_norm(
+            temps, omega, material.delta0_ev, config.fit.sigma2_prefactor
         )
-        zs = surface_impedance(sigma)
-        finite = np.isfinite([sigma.sigma1, sigma.sigma2, zs.rs_ohm, zs.ls_henry])
+        s1, s2 = s1n * material.sigma_n, s2n * material.sigma_n
+        zs = surface_impedance(s1 - 1j * s2, omega)
+        film = FilmResponse(s1n, s2n, s1, s2, zs.real, zs.imag / omega)
+        finite = np.isfinite([s1, s2, film.rs_ohm_sq, film.ls_h_sq])
     if not finite.all():
         raise ValueError(f"the film response at omega = {omega!r} rad/s is not finite")
-    return sigma, zs
+    return film
 
 
 @dataclass(frozen=True)
 class TheoryChain:
     """The loss chain on a temperature grid; every array is over that grid."""
 
-    sigma: ComplexConductivity
-    zs: SurfaceImpedance
+    film: FilmResponse
     lg_h_per_m: float
     g_per_m: float
     delta_qp: np.ndarray
@@ -83,11 +100,11 @@ def theory_chain(config: AnalysisConfig, omega: float, temps) -> TheoryChain:
     config.require("material", "geometry", "tls")
     temps = np.asarray(temps, dtype=float)
     fit, geometry = config.fit, config.geometry
-    sigma, zs = film_response(config, omega, temps)
+    film = film_response(config, omega, temps)
     lg, g = geometric_inductance(geometry), fit.geom_factor(geometry)
-    delta_qp = qp_loss_theory(zs, lg, g)
+    delta_qp = qp_loss_theory(film.rs_ohm_sq, film.ls_h_sq, omega, lg, g)
     qtls = q_tls(temps, fit.n_photon, config.tls, omega)
-    return TheoryChain(sigma, zs, lg, g, delta_qp, qtls, qi_theory(qtls, delta_qp))
+    return TheoryChain(film, lg, g, delta_qp, qtls, qi_theory(qtls, delta_qp))
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,7 @@ def loss_chain(config: AnalysisConfig) -> list[ChainPoint]:
         raise ConfigError("the loss chain needs run.frequency_hz and run.temperatures")
     temps = np.sort(np.asarray(run.temperatures, dtype=float))
     chain = theory_chain(config, angular_frequency(run.frequency_hz), temps)
-    ltot = chain.lg_h_per_m + chain.g_per_m * chain.zs.ls_henry
+    ltot = chain.lg_h_per_m + chain.g_per_m * chain.film.ls_h_sq
     fr = run.frequency_hz * np.sqrt(ltot[0] / ltot)
     qi_total = 1.0 / (1.0 / chain.qi_theory + run.excess_loss)
     columns = (temps, fr, chain.q_tls, chain.delta_qp, chain.qi_theory, qi_total)
@@ -230,8 +247,8 @@ def calibrate_sweep_config(
     target_delta = 1.0 / qi_hot - 1.0 / chain.q_tls[1]
     if target_delta <= 0:
         raise ValueError("warm anchor is above the TLS-only prediction")
-    zs, lg = chain.zs, chain.lg_h_per_m
-    rs_hot, ls_hot = float(zs.rs_ohm[1]), float(zs.ls_henry[1])
+    film, lg = chain.film, chain.lg_h_per_m
+    rs_hot, ls_hot = float(film.rs_ohm_sq[1]), float(film.ls_h_sq[1])
     headroom = rs_hot - target_delta * omega0 * ls_hot
     if headroom <= 0:
         raise ValueError(
@@ -239,7 +256,7 @@ def calibrate_sweep_config(
             f"= {rs_hot / (omega0 * ls_hot):.3e}"
         )
     g = float(target_delta * omega0 * lg / headroom)
-    alpha = float(kinetic_fraction(zs, lg, g)[0])
+    alpha = float(kinetic_fraction(film.ls_h_sq, lg, g)[0])
 
     if temperatures is None:
         temperatures = [round(v, 4) for v in np.linspace(t_cold, t_hot, 30)]

@@ -21,7 +21,7 @@ import numpy as np
 from ..constants import angular_frequency
 from ..errors import FitError, InputError
 from ..lossmodel import LossBudget, excess_qp_loss, make_budget
-from ..resfit import NotchFitResult, S21Trace, fit_notch
+from ..resfit import NotchFitResult, S21Trace, fit_notch, median
 from .config import AnalysisConfig
 from .forward import theory_chain
 from .parallel import ordered_map
@@ -177,10 +177,10 @@ def sweep_analyze(
         config.material, omega, config.fit.gap_model,
     )
     excess, negative = excess_qp_loss(qi_measured, chain.qi_theory)
-    sigma = chain.sigma
+    film = chain.film
     columns = (
         chain.delta_qp, excess, negative,
-        sigma.sigma1_norm, sigma.sigma2_norm, sigma.sigma1, sigma.sigma2,
+        film.sigma1_norm, film.sigma2_norm, film.sigma1_s_per_m, film.sigma2_s_per_m,
     )
     # the fields after the budget, in TemperatureEntry order
     entries = [
@@ -206,7 +206,7 @@ def sweep_analyze(
         "reference_temperature_k": ref_trace.temperature_k,
         "reference_fr_hz": fr_ref,
         "nqp_plateau_per_um3": (
-            float(np.median(plateau_vals)) if plateau_vals else None
+            median(plateau_vals) if plateau_vals else None
         ),
         "nqp_plateau_points": len(plateau_vals),
         "redshift_onset_k": onset_t,

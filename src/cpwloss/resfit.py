@@ -33,6 +33,18 @@ MAX_ITER = 200
 _TOL = 1e-12  # LM stops at this relative cost reduction or step size
 
 
+def median(values) -> float:
+    """Median of a non-empty 1-D array, bitwise equal to ``np.median`` on
+    finite input; ``np.median`` imports ``numpy.ma`` on its first call."""
+    a = np.asarray(values, dtype=float)
+    half = a.size // 2
+    # + 0.0 as in np.median's mean, whose sum turns a -0.0 into 0.0
+    if a.size % 2:
+        return float(np.partition(a, half)[half] + 0.0)
+    part = np.partition(a, (half - 1, half))
+    return float((part[half - 1] + part[half] + 0.0) / 2.0)
+
+
 def _wrap_angle(a: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     w = math.remainder(a, 2.0 * math.pi)
@@ -374,7 +386,7 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
     # on the trace's overall scale, and the circle fit's squared magnitudes
     # stay within double range
     mag = np.abs(z)
-    med = float(np.median(mag))
+    med = median(mag)
     if not (med > 0.0 and mag.max() < 2.0**1000 * med):
         raise FitError("no resonance found (zero baseline or range beyond 2**1000)")
     scale = 2.0 ** round(math.log2(med))
@@ -383,7 +395,7 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
 
     # dip-depth precheck against the wing noise floor
     mag = np.abs(z)
-    med = float(np.median(mag))
+    med = median(mag)
     k = max(3, n // 10)
     wing_mag = np.concatenate([mag[:k], mag[-k:]])
     noise_rel = float(np.std(np.diff(wing_mag))) / math.sqrt(2.0) / med

@@ -9,10 +9,19 @@ sys.path.insert(0, str(Path(__file__).parent))
 from cpwloss.constants import angular_frequency
 from cpwloss.impedance import CpwGeometry
 from cpwloss.mbcore import MaterialParams
+from cpwloss.pipeline.config import AnalysisConfig, FitSettings, RunSettings
+from cpwloss.pipeline.forward import film_response
 from cpwloss.resfit import NotchParams
 
 F0_HZ = 5.95e9
 OMEGA0 = angular_frequency(F0_HZ)
+
+
+def film(material: MaterialParams, temps, omega=OMEGA0, sigma2_prefactor="four"):
+    """The film stage of ``material`` alone over ``temps``."""
+    fit = FitSettings(sigma2_prefactor=sigma2_prefactor)
+    config = AnalysisConfig(material, None, None, fit, RunSettings(), digest="")
+    return film_response(config, omega, temps)
 
 
 @pytest.fixture(scope="session")

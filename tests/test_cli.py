@@ -42,6 +42,18 @@ def sweep_setup(tmp_path_factory):
     return cfg_path, traces_dir
 
 
+def write_rt_csv(path: Path) -> Path:
+    """The synthetic R(T) series of test_pipeline, written as a dc input."""
+    from test_pipeline import synthetic_rt
+
+    t, r = synthetic_rt()
+    lines = ["temperature_K,resistance_ohm"] + [
+        f"{float(a)!r},{float(b)!r}" for a, b in zip(t, r)
+    ]
+    path.write_text("\n".join(lines))
+    return path
+
+
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
@@ -71,6 +83,22 @@ class TestExitCodes:
         rc, _, err = run_cli(capsys, *argv, "--config", str(bad), "--out", str(tmp_path))
         assert rc == 3, err
         assert "beta_exp" in err
+
+    def test_empty_temperatures_is_3_and_writes_nothing(
+        self, capsys, tmp_path, sweep_setup
+    ):
+        cfg_path, _ = sweep_setup
+        doc = json.loads(cfg_path.read_text())
+        doc["run"]["temperatures"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc, stdout, err = run_cli(
+            capsys, "synth", "--kind", "sweep", "--config", str(bad), "--out", str(out)
+        )
+        assert rc == 3, err
+        assert stdout == "" and "run.temperatures" in err
+        assert not out.exists()
 
     def test_missing_input_is_1(self, capsys):
         rc, _, _ = run_cli(capsys, "dc", "/nonexistent/rt.csv")
@@ -149,15 +177,7 @@ class TestXrdDc:
         assert doc["lattice_constant_angstrom"] == pytest.approx(4.35, abs=0.01)
 
     def test_dc_extraction(self, capsys, tmp_path):
-        from test_pipeline import synthetic_rt
-
-        t, r = synthetic_rt()
-        path = tmp_path / "rt.csv"
-        lines = ["temperature_K,resistance_ohm"] + [
-            f"{float(a)!r},{float(b)!r}" for a, b in zip(t, r)
-        ]
-        path.write_text("\n".join(lines))
-        rc, out, _ = run_cli(capsys, "dc", str(path))
+        rc, out, _ = run_cli(capsys, "dc", str(write_rt_csv(tmp_path / "rt.csv")))
         assert rc == 0
         doc = json.loads(out)
         assert doc["tc_kelvin"] == pytest.approx(10.7, abs=0.1)
@@ -346,15 +366,15 @@ class TestMb:
         temps = np.linspace(0.2, 9.0, 41)
         config = config_from_dict(json.loads(cfg_path.read_text()))
         chain = theory_chain(config, angular_frequency(6.1e9), temps)
-        sigma, zs = chain.sigma, chain.zs
+        film = chain.film
         want = {
             "temperature_k": temps,
-            "sigma1_norm": sigma.sigma1_norm,
-            "sigma2_norm": sigma.sigma2_norm,
-            "sigma1_s_per_m": sigma.sigma1,
-            "sigma2_s_per_m": sigma.sigma2,
-            "rs_ohm_sq": zs.rs_ohm,
-            "ls_h_sq": zs.ls_henry,
+            "sigma1_norm": film.sigma1_norm,
+            "sigma2_norm": film.sigma2_norm,
+            "sigma1_s_per_m": film.sigma1_s_per_m,
+            "sigma2_s_per_m": film.sigma2_s_per_m,
+            "rs_ohm_sq": film.rs_ohm_sq,
+            "ls_h_sq": film.ls_h_sq,
         }
         assert {k: [row[k] for row in rows] for k in want} == {
             k: v.tolist() for k, v in want.items()
@@ -677,13 +697,15 @@ def test_import_path_holds_no_test_only_code():
 
 
 def test_cli_runs_without_scipy(tmp_path, sweep_setup):
-    # an interpreter in which `import scipy` fails runs fit, mb and a sweep
+    # an interpreter in which `import scipy` fails runs fit, mb, a sweep and
+    # dc, and none of them loads numpy.ma (np.median imports it)
     cfg_path, traces_dir = sweep_setup
     traces = [str(t) for t in sorted(traces_dir.iterdir())[:5]]
     argvs = [
         ["fit", traces[0]],
         ["mb", "--config", str(cfg_path), "--points", "50"],
         ["sweep", *traces, "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        ["dc", str(write_rt_csv(tmp_path / "rt.csv"))],
     ]
     probe = (
         "import json, sys\n"
@@ -691,8 +713,9 @@ def test_cli_runs_without_scipy(tmp_path, sweep_setup):
         "from cpwloss import cli\n"
         "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
         "print(codes)\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
-    assert run_probe(probe, json.dumps(argvs))[-1] == "[0, 0, 0]"
+    assert run_probe(probe, json.dumps(argvs))[-2:] == ["[0, 0, 0, 0]", "False"]
     assert (tmp_path / "out" / "report.json").is_file()
 
 

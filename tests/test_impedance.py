@@ -7,16 +7,14 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpwloss import impedance, mbcore
+from cpwloss import impedance
 from cpwloss.constants import MU0
-from conftest import OMEGA0
+from conftest import OMEGA0, film
 
 
-def make_sigma(s1_norm, s2_norm, sigma_n=6.27e4, t=1.0, omega=OMEGA0):
-    return mbcore.ComplexConductivity(
-        sigma1_norm=s1_norm, sigma2_norm=s2_norm, sigma_n=sigma_n,
-        temperature_k=t, omega_rad=omega,
-    )
+def make_sigma(s1_norm, s2_norm, sigma_n=6.27e4):
+    """Complex conductivity sigma1 - j*sigma2 in S/m."""
+    return sigma_n * (s1_norm - 1j * s2_norm)
 
 
 class TestEllipticK:
@@ -87,53 +85,54 @@ class TestGeometricInductance:
 
 class TestSurfaceImpedance:
     def test_lossless_film(self):
-        sigma = make_sigma(0.0, 200.0)
-        zs = impedance.surface_impedance(sigma)
-        assert zs.rs_ohm == 0.0
-        assert zs.ls_henry == pytest.approx(
-            math.sqrt(MU0 / (OMEGA0 * sigma.sigma2)) / 1.0, rel=1e-12
-        ) or zs.ls_henry > 0
+        zs = impedance.surface_impedance(make_sigma(0.0, 200.0), OMEGA0)
+        assert zs.real == 0.0
+        assert zs.imag / OMEGA0 == pytest.approx(
+            math.sqrt(MU0 / (OMEGA0 * 200.0 * 6.27e4)), rel=1e-12
+        )
 
     def test_lossless_ls_value(self):
-        sigma = make_sigma(0.0, 200.0)
-        zs = impedance.surface_impedance(sigma)
+        zs = impedance.surface_impedance(make_sigma(0.0, 200.0), OMEGA0)
         # purely inductive: omega*Ls = sqrt(mu0*omega/sigma2)
-        assert zs.omega_rad * zs.ls_henry == pytest.approx(
-            math.sqrt(MU0 * OMEGA0 / sigma.sigma2), rel=1e-12
+        assert zs.imag == pytest.approx(
+            math.sqrt(MU0 * OMEGA0 / (200.0 * 6.27e4)), rel=1e-12
         )
 
     def test_small_dissipation_expansion(self):
         # sigma1 << sigma2: Rs ~ (1/2) (sigma1/sigma2) omega Ls
-        sigma = make_sigma(200.0 * 1e-4, 200.0)
-        zs = impedance.surface_impedance(sigma)
-        assert zs.rs_ohm == pytest.approx(
-            0.5 * 1e-4 * zs.omega_rad * zs.ls_henry, rel=1e-3
-        )
+        zs = impedance.surface_impedance(make_sigma(200.0 * 1e-4, 200.0), OMEGA0)
+        assert zs.real == pytest.approx(0.5 * 1e-4 * zs.imag, rel=1e-3)
 
     def test_zero_conductivity_rejected(self):
         with pytest.raises(ValueError):
-            impedance.surface_impedance(make_sigma(0.0, 0.0))
+            impedance.surface_impedance(make_sigma(0.0, 0.0), OMEGA0)
+        with pytest.raises(ValueError):
+            impedance.surface_impedance(make_sigma(np.array([0.1, 0.0]), 0.0), OMEGA0)
 
     @given(
         st.floats(min_value=1e-6, max_value=1e3),
         st.floats(min_value=1e-3, max_value=1e4),
         st.floats(min_value=1e8, max_value=1e12),
+        st.floats(min_value=0.05, max_value=3.0),
     )
     @settings(max_examples=60)
-    def test_round_trip_identity(self, s1n, s2n, omega):
-        sigma = make_sigma(s1n, s2n, omega=omega)
-        zs = impedance.surface_impedance(sigma)
-        lhs = zs.zs**2 * sigma.sigma
-        rhs = 1j * MU0 * omega
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+    def test_round_trip_identity(self, nbn_film, s1n, s2n, omega, t):
+        # Zs^2 * sigma = j mu0 omega for any conductivity, and for the film
+        # record, whose fields are sigma = sigma1 - j*sigma2 and Zs = Rs + j*omega*Ls
+        sigma = make_sigma(s1n, s2n)
+        zs = impedance.surface_impedance(sigma, omega)
+        rec = film(nbn_film, [t])
+        zs_rec = rec.rs_ohm_sq[0] + 1j * OMEGA0 * rec.ls_h_sq[0]
+        sigma_rec = rec.sigma1_s_per_m[0] - 1j * rec.sigma2_s_per_m[0]
+        for lhs, rhs in (
+            (zs**2 * sigma, 1j * MU0 * omega),
+            (zs_rec**2 * sigma_rec, 1j * MU0 * OMEGA0),
+        ):
+            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
     def test_rs_monotone_with_temperature(self, nbn_film):
-        temps = np.linspace(0.5, 3.0, 30)
-        rs = []
-        for t in temps:
-            sigma = mbcore.complex_conductivity(nbn_film, float(t), OMEGA0)
-            rs.append(impedance.surface_impedance(sigma).rs_ohm)
-        assert np.all(np.diff(rs) > 0)
+        rec = film(nbn_film, np.linspace(0.5, 3.0, 30))
+        assert np.all(np.diff(rec.rs_ohm_sq) > 0)
 
 
 class TestQpLossTheory:
@@ -141,56 +140,52 @@ class TestQpLossTheory:
         return impedance.geometric_inductance(cpw_geometry)
 
     def test_lossless_film_gives_zero(self, cpw_geometry):
-        zs = impedance.SurfaceImpedance(rs_ohm=0.0, ls_henry=1e-12, omega_rad=OMEGA0)
-        assert impedance.qp_loss_theory(zs, self.lg(cpw_geometry), 2.5e5) == 0.0
+        lg = self.lg(cpw_geometry)
+        assert impedance.qp_loss_theory(0.0, 1e-12, OMEGA0, lg, 2.5e5) == 0.0
 
     def test_geometric_dilution(self, cpw_geometry):
-        zs = impedance.SurfaceImpedance(rs_ohm=1e-6, ls_henry=1e-12, omega_rad=OMEGA0)
-        small = impedance.qp_loss_theory(zs, 1e-3, 2.5e5)
-        big = impedance.qp_loss_theory(zs, self.lg(cpw_geometry), 2.5e5)
+        small = impedance.qp_loss_theory(1e-6, 1e-12, OMEGA0, 1e-3, 2.5e5)
+        big = impedance.qp_loss_theory(1e-6, 1e-12, OMEGA0, self.lg(cpw_geometry), 2.5e5)
         assert small < 1e-3 * big
 
     def test_increasing_in_sigma1(self, nbn_film, cpw_geometry):
-        lg = self.lg(cpw_geometry)
-        vals = []
-        for s1n in (1e-4, 1e-3, 1e-2):
-            sigma = make_sigma(s1n, 200.0, sigma_n=nbn_film.sigma_n)
-            zs = impedance.surface_impedance(sigma)
-            vals.append(impedance.qp_loss_theory(zs, lg, 2.5e5))
+        sigma = make_sigma(np.array([1e-4, 1e-3, 1e-2]), 200.0, sigma_n=nbn_film.sigma_n)
+        zs = impedance.surface_impedance(sigma, OMEGA0)
+        vals = impedance.qp_loss_theory(
+            zs.real, zs.imag / OMEGA0, OMEGA0, self.lg(cpw_geometry), 2.5e5
+        )
         assert vals[0] < vals[1] < vals[2]
 
     def test_decreasing_in_lg(self):
-        zs = impedance.SurfaceImpedance(rs_ohm=1e-6, ls_henry=1e-12, omega_rad=OMEGA0)
-        a = impedance.qp_loss_theory(zs, 1e-7, 2.5e5)
-        b = impedance.qp_loss_theory(zs, 2e-7, 2.5e5)
+        a = impedance.qp_loss_theory(1e-6, 1e-12, OMEGA0, 1e-7, 2.5e5)
+        b = impedance.qp_loss_theory(1e-6, 1e-12, OMEGA0, 2e-7, 2.5e5)
         assert a > b
 
     def test_warm_point_within_factor_two_of_measured(self, nbn_film, cpw_geometry):
         # full chain at 2.9 K against the reference device Qi = 7.421e3; the
         # pi prefactor (full-integral zero-T limit) keeps the prediction
         # within a factor of two with the default g = 1/w
-        sigma = mbcore.complex_conductivity(nbn_film, 2.9, OMEGA0, "pi")
-        zs = impedance.surface_impedance(sigma)
-        lg = self.lg(cpw_geometry)
-        delta = impedance.qp_loss_theory(zs, lg, 1.0 / cpw_geometry.center_width_m)
+        rec = film(nbn_film, [2.9], sigma2_prefactor="pi")
+        lg, g = self.lg(cpw_geometry), 1.0 / cpw_geometry.center_width_m
+        delta = impedance.qp_loss_theory(rec.rs_ohm_sq[0], rec.ls_h_sq[0], OMEGA0, lg, g)
         q_qp = 1.0 / delta
         assert q_qp / 7.421e3 < 2.0
         assert q_qp / 7.421e3 > 0.5
 
     def test_domain_errors(self):
-        zs = impedance.SurfaceImpedance(rs_ohm=1e-6, ls_henry=1e-12, omega_rad=OMEGA0)
         with pytest.raises(ValueError):
-            impedance.qp_loss_theory(zs, 0.0, 2.5e5)
+            impedance.qp_loss_theory(1e-6, 1e-12, OMEGA0, 0.0, 2.5e5)
         with pytest.raises(ValueError):
-            impedance.qp_loss_theory(zs, 1e-7, -1.0)
+            impedance.qp_loss_theory(1e-6, 1e-12, OMEGA0, 1e-7, -1.0)
 
 
 class TestKineticFraction:
     def test_in_unit_interval(self, nbn_film, cpw_geometry):
-        sigma = mbcore.complex_conductivity(nbn_film, 1.0, OMEGA0)
-        zs = impedance.surface_impedance(sigma)
+        rec = film(nbn_film, [1.0])
         lg = impedance.geometric_inductance(cpw_geometry)
-        alpha = impedance.kinetic_fraction(zs, lg, 1.0 / cpw_geometry.center_width_m)
+        alpha = impedance.kinetic_fraction(
+            rec.ls_h_sq[0], lg, 1.0 / cpw_geometry.center_width_m
+        )
         assert 0.0 < alpha < 1.0
 
     def test_thickness_dependence_through_sigma_n(self, nbn_film, cpw_geometry):
@@ -203,10 +198,8 @@ class TestKineticFraction:
         g = 1.0 / cpw_geometry.center_width_m
         alphas = []
         for d in (200e-9, 100e-9, 50e-9):
-            film = replace(nbn_film, thickness_m=d)
-            sigma = mbcore.complex_conductivity(film, 1.0, OMEGA0)
-            zs = impedance.surface_impedance(sigma)
-            a = impedance.kinetic_fraction(zs, lg, g)
+            rec = film(replace(nbn_film, thickness_m=d), [1.0])
+            a = impedance.kinetic_fraction(rec.ls_h_sq[0], lg, g)
             assert 0.0 < a < 1.0
             alphas.append(a)
         assert alphas[0] > alphas[1] > alphas[2]

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpwloss import lossmodel, mbcore
+from cpwloss import lossmodel
 from cpwloss.constants import M3_TO_UM3
-from conftest import OMEGA0
+from conftest import OMEGA0, film
 
 
 @pytest.fixture(scope="module")
@@ -48,17 +48,13 @@ class TestQiTheory:
         assert lossmodel.qi_theory(2e5, 5e-6) == pytest.approx(1e5, rel=1e-12)
 
     def test_interior_maximum_over_sweep(self, tls, nbn_film, cpw_geometry):
-        from cpwloss.impedance import (
-            geometric_inductance, qp_loss_theory, surface_impedance,
-        )
+        from cpwloss.impedance import geometric_inductance, qp_loss_theory
 
         lg = geometric_inductance(cpw_geometry)
         temps = np.linspace(0.12, 2.9, 40)
-        qi = []
-        for t in temps:
-            sigma = mbcore.complex_conductivity(nbn_film, float(t), OMEGA0)
-            delta = qp_loss_theory(surface_impedance(sigma), lg, 2.24e6)
-            qi.append(lossmodel.qi_theory(lossmodel.q_tls(float(t), 1.0, tls, OMEGA0), delta))
+        rec = film(nbn_film, temps)
+        delta = qp_loss_theory(rec.rs_ohm_sq, rec.ls_h_sq, OMEGA0, lg, 2.24e6)
+        qi = lossmodel.qi_theory(lossmodel.q_tls(temps, 1.0, tls, OMEGA0), delta)
         imax = int(np.argmax(qi))
         assert 0 < imax < len(qi) - 1
 
@@ -115,17 +111,13 @@ class TestNqpFromLoss:
         assert b == pytest.approx(a / 2.0, rel=1e-12)
 
     def test_thermal_density_increasing(self, nbn_film, cpw_geometry):
-        from cpwloss.impedance import (
-            geometric_inductance, qp_loss_theory, surface_impedance,
-        )
+        from cpwloss.impedance import geometric_inductance, qp_loss_theory
 
         lg = geometric_inductance(cpw_geometry)
         temps = np.linspace(0.5, 3.0, 25)
-        dens = []
-        for t in temps:
-            sigma = mbcore.complex_conductivity(nbn_film, float(t), OMEGA0)
-            delta = qp_loss_theory(surface_impedance(sigma), lg, 2.5e5)
-            dens.append(lossmodel.nqp_from_loss(delta, float(t), nbn_film, OMEGA0))
+        rec = film(nbn_film, temps)
+        delta = qp_loss_theory(rec.rs_ohm_sq, rec.ls_h_sq, OMEGA0, lg, 2.5e5)
+        dens = lossmodel.nqp_from_loss(delta, temps, nbn_film, OMEGA0)
         assert np.all(np.diff(dens) > 0)
 
     def test_domain(self, nbn_film):

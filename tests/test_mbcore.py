@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cpwloss import mbcore
 from cpwloss.constants import KB_EV
 from cpwloss.errors import ApproximationWarning
-from conftest import OMEGA0
+from conftest import OMEGA0, film
 
 from oracles import bessel_k0_i0_reference, mb_full_oracle
 
@@ -187,39 +187,24 @@ class TestComplexConductivity:
         assert nbn_film.sigma_n == pytest.approx(1.0 / (159.5 * 1e-7), rel=1e-12)
 
     def test_monotone_between_two_temps(self, nbn_film):
-        lo = mbcore.complex_conductivity(nbn_film, 0.5, OMEGA0)
-        hi = mbcore.complex_conductivity(nbn_film, 3.0, OMEGA0)
-        assert lo.sigma1_norm < hi.sigma1_norm
-        assert lo.sigma2_norm > hi.sigma2_norm
-
-    def test_record_carries_conditions(self, nbn_film):
-        rec = mbcore.complex_conductivity(nbn_film, 1.2, OMEGA0)
-        assert rec.temperature_k == 1.2
-        assert rec.omega_rad == OMEGA0
-        assert rec.sigma == pytest.approx(
-            complex(rec.sigma1, -rec.sigma2), rel=1e-15
-        )
+        rec = film(nbn_film, [0.5, 3.0])
+        assert rec.sigma1_norm[0] < rec.sigma1_norm[1]
+        assert rec.sigma2_norm[0] > rec.sigma2_norm[1]
 
     def test_linear_in_inverse_sheet_resistance(self, nbn_film):
         from dataclasses import replace
 
         doubled = replace(nbn_film, sheet_resistance_ohm=2 * 159.5)
-        a = mbcore.complex_conductivity(nbn_film, 1.5, OMEGA0)
-        b = mbcore.complex_conductivity(doubled, 1.5, OMEGA0)
+        a = film(nbn_film, [1.5])
+        b = film(doubled, [1.5])
         assert b.sigma1_norm == a.sigma1_norm
         assert b.sigma2_norm == a.sigma2_norm
-        assert b.sigma1 == pytest.approx(a.sigma1 / 2.0, rel=1e-12)
+        assert b.sigma1_s_per_m == pytest.approx(a.sigma1_s_per_m / 2.0, rel=1e-12)
 
     def test_full_sweep_shape(self, nbn_film):
-        temps = np.linspace(0.1, 3.0, 50)
-        s1 = np.array(
-            [mbcore.complex_conductivity(nbn_film, t, OMEGA0).sigma1 for t in temps]
-        )
-        s2 = np.array(
-            [mbcore.complex_conductivity(nbn_film, t, OMEGA0).sigma2 for t in temps]
-        )
-        assert np.all(np.diff(s1) > 0)
-        assert np.all(np.diff(s2) <= 0)
+        rec = film(nbn_film, np.linspace(0.1, 3.0, 50))
+        assert np.all(np.diff(rec.sigma1_s_per_m) > 0)
+        assert np.all(np.diff(rec.sigma2_s_per_m) <= 0)
 
 
 class TestMaterialParams:

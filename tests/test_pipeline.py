@@ -396,10 +396,11 @@ class TestConfig:
                 cfgmod.config_from_dict(doc)
 
     def test_bad_enum_rejected(self):
-        doc = self.good_doc()
-        doc["fit"]["sigma2_prefactor"] = "both"
-        with pytest.raises(ConfigError):
-            cfgmod.config_from_dict(doc)
+        for key in ("sigma2_prefactor", "gap_model"):
+            doc = self.good_doc()
+            doc["fit"][key] = "both"
+            with pytest.raises(ConfigError, match=key):
+                cfgmod.config_from_dict(doc)
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -411,12 +412,23 @@ class TestConfig:
             ("run", "qc_mag", -5.0),
             ("run", "temperatures", [0.12, 0.0, 1.0]),
             ("fit", "t_ref_kelvin", -3.0),
+            ("run", "temperatures", []),
+            ("fit", "n_photon", -1.0),
+            ("fit", "geom_factor_per_m", 0.0),
+            ("run", "noise_sigma", -1e-3),
+            ("run", "npoints", 15),
+            ("run", "span_linewidths", 0.0),
+            ("run", "excess_loss", -1e-6),
+            ("material", "sheet_resistance_ohm", 0.0),
+            ("material", "thickness_m", -1e-7),
+            ("material", "n0_states", 0.0),
+            ("geometry", "substrate_eps_r", 0.5),
         ],
     )
     def test_out_of_range_value_rejected(self, section, key, value):
         doc = self.good_doc()
         doc[section][key] = value
-        with pytest.raises(ConfigError, match=section):
+        with pytest.raises(ConfigError, match=rf"{section}\b.*\b{key}\b"):
             cfgmod.config_from_dict(doc)
 
     def test_missing_section_flagged_on_require(self):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpwloss import resfit
@@ -41,6 +41,19 @@ def assert_recovered(p: resfit.NotchParams, r: resfit.NotchFitResult, rel=1e-3):
     assert q.phase0_rad == pytest.approx(p.phase0_rad, rel=rel, abs=rel)
     assert q.tau_s == pytest.approx(p.tau_s, rel=rel, abs=1e-12)
     assert r.qi == pytest.approx(p.qi, rel=rel)
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
+)
+@example([-0.0])
+def test_median_is_bitwise_np_median(values):
+    # one odd-sized and one even-sized input per draw; np.median gives 0.0
+    # for a -0.0 middle, and a middle pair near the float limit overflows
+    # to inf in both
+    with np.errstate(over="ignore"):
+        for a in (np.array(values), np.array(values + values[:1])):
+            assert resfit.median(a).hex() == float(np.median(a)).hex()
 
 
 class TestModel:

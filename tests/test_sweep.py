@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from cpwloss.constants import M3_TO_UM3, angular_frequency
 from cpwloss.errors import FitError, InputError
-from cpwloss.impedance import geometric_inductance, qp_loss_theory, surface_impedance
+from cpwloss.impedance import geometric_inductance, qp_loss_theory
 from cpwloss.lossmodel import nqp_from_loss, q_tls, qi_theory
-from cpwloss.mbcore import complex_conductivity
 from cpwloss.pipeline.config import config_from_dict
 from cpwloss.pipeline.forward import (
     calibrate_sweep_config,
+    film_response,
     loss_chain,
     reference_chain,
     synth_sweep,
@@ -80,17 +80,13 @@ class TestForwardModel:
         lg = geometric_inductance(config.geometry)
         g = config.fit.geom_factor(config.geometry)
         for i, t in enumerate(config.run.temperatures):
-            sigma = complex_conductivity(
-                config.material, t, omega, config.fit.sigma2_prefactor
-            )
-            zs = surface_impedance(sigma)
-            delta = qp_loss_theory(zs, lg, g)
+            film = film_response(config, omega, t)
+            delta = qp_loss_theory(film.rs_ohm_sq, film.ls_h_sq, omega, lg, g)
             qtls = q_tls(t, config.fit.n_photon, config.tls, omega)
             pairs = {
-                "sigma1": (chain.sigma.sigma1[i], sigma.sigma1),
-                "sigma2": (chain.sigma.sigma2[i], sigma.sigma2),
-                "rs_ohm": (chain.zs.rs_ohm[i], zs.rs_ohm),
-                "ls_henry": (chain.zs.ls_henry[i], zs.ls_henry),
+                name: (getattr(chain.film, name)[i], getattr(film, name))
+                for name in vars(film)
+            } | {
                 "delta_qp": (chain.delta_qp[i], delta),
                 "q_tls": (chain.q_tls[i], qtls),
                 "qi_theory": (chain.qi_theory[i], qi_theory(qtls, delta)),
@@ -108,7 +104,7 @@ class TestForwardModel:
             config, angular_frequency(config.run.frequency_hz),
             [pt.temperature_k for pt in pts],
         )
-        ls, s2 = chain.zs.ls_henry, chain.sigma.sigma2_norm
+        ls, s2 = chain.film.ls_h_sq, chain.film.sigma2_norm
         alpha = calibrated_doc["material"]["alpha"]
         ref = pts[0]
         for pt, ls_t, s2_t in zip(pts[1:], ls[1:], s2[1:]):
