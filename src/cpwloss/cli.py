@@ -119,7 +119,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out or ".")
     written = emit_report(report, out_dir)
     print(
-        f"analyzed {len(report.entries)} temperatures "
+        f"analyzed {len(report.fits)} temperatures "
         f"({len(report.failures)} failed); wrote {len(written)} files to {out_dir}"
     )
     return 0

@@ -8,9 +8,9 @@ The same conversion applied to the measured loss (1/Qi - 1/Q_TLS) and to
 the theoretical loss gives the measured and theoretical densities; both
 paths share one implementation.
 
-The functions are elementwise: each takes one value or an array, and
-``make_budget`` builds a whole sweep's per-temperature budgets in one call
-over its arrays.
+The functions are elementwise over arrays, and ``make_budget`` builds a
+whole sweep's per-temperature budget in one call: a dict of arrays keyed by
+the report.json ``budget`` names.
 """
 
 from __future__ import annotations
@@ -58,11 +58,9 @@ def tls_loss(t_kelvin, n_photon: float, p: TlsParams, omega_rad: float):
 
 
 def _inverse(x):
-    # 1/0 = inf and 1/inf = 0: an infinite Q is a vanishing loss channel;
-    # a scalar stays a Python float, as the loss budget's fields are
+    # 1/0 = inf and 1/inf = 0: an infinite Q is a vanishing loss channel
     with np.errstate(divide="ignore"):
-        inv = np.divide(1.0, x)
-    return float(inv) if np.ndim(inv) == 0 else inv
+        return np.divide(1.0, x)
 
 
 def q_tls(t_kelvin, n_photon: float, p: TlsParams, omega_rad: float):
@@ -108,47 +106,35 @@ def nqp_from_loss(
     d_t = gap_at_temperature(params.delta0_ev, t_kelvin, params.tc_kelvin, gap_model)
     hw = HBAR_EVS * omega_rad
     n = delta * params.n0_states * d_t * (math.pi / params.alpha)
-    n = n * np.sqrt(hw / (2.0 * d_t))
-    return float(n) if np.ndim(n) == 0 else n
-
-
-@dataclass(frozen=True)
-class LossBudget:
-    """Per-temperature loss decomposition.
-
-    Densities are reported in um^-3. ``nqp_measured_per_um3`` is None when
-    the measured loss was negative (``negative_loss`` set); the raw signed
-    loss is always retained in ``delta_qp_measured``.
-    """
-
-    q_tls: float
-    q_qp_theory: float
-    qi_theory: float
-    qi_measured: float
-    delta_qp_measured: float
-    nqp_measured_per_um3: float | None
-    nqp_theory_per_um3: float
-    negative_loss: bool
+    return n * np.sqrt(hw / (2.0 * d_t))
 
 
 def make_budget(
     t_kelvin, q_tls_value, delta_qp_theory, qi_theory_value, qi_measured,
     material: MaterialParams, omega_rad: float, gap_model: str = "bcs_tanh",
-) -> list[LossBudget]:
-    """The budgets of a sweep, one per element of the equal-length arrays.
+) -> dict[str, np.ndarray]:
+    """The budget of a sweep over the equal-length arrays, as one array per
+    report.json ``budget`` field, in report order. Densities are in um^-3.
 
     ``qi_theory_value`` is the theory chain's 1/(1/Q_TLS + delta_qp_theory).
+    ``nqp_measured_per_um3`` is NaN where the measured loss is negative
+    (``negative_loss`` set); the signed loss stays in ``delta_qp_measured``.
     """
     d_meas = delta_qp_measured(qi_measured, q_tls_value)
     negative = d_meas < 0.0
     # both densities in one conversion, so the gap is evaluated once
     losses = np.stack((np.where(negative, 0.0, d_meas), delta_qp_theory))
     nqp = nqp_from_loss(losses, t_kelvin, material, omega_rad, gap_model) * M3_TO_UM3
-    columns = (
-        q_tls_value, _inverse(delta_qp_theory), qi_theory_value, qi_measured, d_meas,
-        np.where(negative, None, nqp[0]), nqp[1], negative,
-    )
-    return [LossBudget(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return {
+        "q_tls": np.asarray(q_tls_value, dtype=float),
+        "q_qp_theory": _inverse(delta_qp_theory),
+        "qi_theory": np.asarray(qi_theory_value, dtype=float),
+        "qi_measured": np.asarray(qi_measured, dtype=float),
+        "delta_qp_measured": d_meas,
+        "nqp_measured_per_um3": np.where(negative, np.nan, nqp[0]),
+        "nqp_theory_per_um3": nqp[1],
+        "negative_loss": negative,
+    }
 
 
 def excess_qp_loss(qi_measured, qi_theory_value):
@@ -160,6 +146,4 @@ def excess_qp_loss(qi_measured, qi_theory_value):
     and flagged.
     """
     diff = _inverse(qi_measured) - _inverse(qi_theory_value)
-    if np.ndim(diff) == 0:
-        return max(0.0, diff), diff < 0.0
     return np.where(diff > 0.0, diff, 0.0), diff < 0.0

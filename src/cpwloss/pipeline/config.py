@@ -194,6 +194,18 @@ def config_from_dict(document: dict) -> AnalysisConfig:
     return AnalysisConfig(digest=config_sha256(document), **built)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object of a config file. A key given twice is a ConfigError:
+    json.loads alone keeps the last value, and the digest would not show
+    that the file differs."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> AnalysisConfig:
     p = Path(path)
     try:
@@ -201,7 +213,9 @@ def load_config(path: str | Path) -> AnalysisConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"config {p}: {exc}") from exc
     return config_from_dict(document)

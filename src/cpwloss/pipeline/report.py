@@ -3,7 +3,9 @@
 This module is the one place that knows the output layout: the fit block
 (shared with ``cpwloss fit``), the per-temperature entries of report.json,
 the CSV columns, each of which is a field of those entries, and the tables
-and records the CLI prints.
+and records the CLI prints. A sweep's results arrive as arrays over its
+fitted temperatures; ``_per_temperature`` is the one place they become
+rows.
 
 Identical analyses produce byte-identical files: one cell rule writes every
 scalar (``_number``), JSON is laid out as ``json.dumps(indent=2)`` lays it
@@ -20,8 +22,10 @@ from json.encoder import encode_basestring_ascii
 from operator import getitem
 from pathlib import Path
 
+import numpy as np
+
 from ..resfit import NotchFitResult
-from .sweep import AnalysisReport, TemperatureEntry
+from .sweep import AnalysisReport
 
 SCHEMA_VERSION = 1
 
@@ -146,23 +150,32 @@ def fit_record(result: NotchFitResult) -> dict:
     }
 
 
-def _entry_to_dict(e: TemperatureEntry) -> dict:
-    return {
-        "temperature_k": e.temperature_k,
-        "source": e.source,
-        "fit": fit_record(e.fit),
-        "delta_f_hz": e.delta_f_hz,
-        "budget": asdict(e.budget),
-        "delta_qp_theory": e.delta_qp_theory,
-        "excess_loss": e.excess_loss,
-        "excess_negative": e.excess_negative,
-        "sigma": {
-            "sigma1_norm": e.sigma1_norm,
-            "sigma2_norm": e.sigma2_norm,
-            "sigma1_s_per_m": e.sigma1_s_per_m,
-            "sigma2_s_per_m": e.sigma2_s_per_m,
-        },
-    }
+def _rows(columns: dict) -> list[dict]:
+    """Equal-length columns, keyed by name, as one object per row; an array
+    column gives Python floats and bools."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*cells)]
+
+
+def _per_temperature(report: AnalysisReport) -> list[dict]:
+    """The per_temperature entries of report.json, one per fitted trace."""
+    film = report.film
+    return _rows({
+        "temperature_k": [trace.temperature_k for trace, _ in report.fits],
+        "source": [trace.source for trace, _ in report.fits],
+        "fit": [fit_record(fit) for _, fit in report.fits],
+        "delta_f_hz": report.delta_f_hz,
+        "budget": _rows(report.budget),
+        "delta_qp_theory": report.delta_qp_theory,
+        "excess_loss": report.excess_loss,
+        "excess_negative": report.excess_negative,
+        "sigma": _rows({
+            "sigma1_norm": film.sigma1_norm,
+            "sigma2_norm": film.sigma2_norm,
+            "sigma1_s_per_m": film.sigma1_s_per_m,
+            "sigma2_s_per_m": film.sigma2_s_per_m,
+        }),
+    })
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -177,7 +190,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             },
         },
         "derived": report.derived,
-        "per_temperature": [_entry_to_dict(e) for e in report.entries],
+        "per_temperature": _per_temperature(report),
         "failures": [asdict(f) for f in report.failures],
     }
 

@@ -8,8 +8,10 @@ they run on a forked worker pool when the sweep is large enough to pay for
 one (see :mod:`.parallel`). Results are merged in ascending temperature order, and a
 fit's bits do not depend on the process it ran in, so the report is the
 same from the pool and from one process. After the fits, the theory chain,
-the loss budgets and the excess loss are each one array call over the
-fitted temperatures; no step loops over temperatures.
+the loss budget and the excess loss are each one array call over the
+fitted temperatures; no step loops over temperatures. The results stay
+arrays over those temperatures in the ``AnalysisReport``; the report writer
+is the one place that turns them into per-temperature rows.
 """
 
 from __future__ import annotations
@@ -20,29 +22,11 @@ import numpy as np
 
 from ..constants import angular_frequency
 from ..errors import FitError, InputError
-from ..lossmodel import LossBudget, excess_qp_loss, make_budget
+from ..lossmodel import excess_qp_loss, make_budget
 from ..resfit import NotchFitResult, S21Trace, fit_notch, median
 from .config import AnalysisConfig
-from .forward import theory_chain
+from .forward import FilmResponse, theory_chain
 from .parallel import ordered_map
-
-
-@dataclass(frozen=True)
-class TemperatureEntry:
-    """Everything derived for one temperature."""
-
-    temperature_k: float
-    source: str | None
-    fit: NotchFitResult
-    delta_f_hz: float
-    budget: LossBudget
-    delta_qp_theory: float
-    excess_loss: float
-    excess_negative: bool
-    sigma1_norm: float
-    sigma2_norm: float
-    sigma1_s_per_m: float
-    sigma2_s_per_m: float
 
 
 @dataclass(frozen=True)
@@ -54,7 +38,16 @@ class FailureEntry:
 
 @dataclass
 class AnalysisReport:
-    entries: list[TemperatureEntry]
+    """A sweep's results: the fitted (trace, fit) pairs, ascending in T, and
+    one array element per pair in every array and in the film response."""
+
+    fits: list[tuple[S21Trace, NotchFitResult]]
+    delta_f_hz: np.ndarray
+    budget: dict[str, np.ndarray]
+    delta_qp_theory: np.ndarray
+    excess_loss: np.ndarray
+    excess_negative: np.ndarray
+    film: FilmResponse
     failures: list[FailureEntry]
     derived: dict
     provenance: dict
@@ -105,7 +98,7 @@ REDSHIFT_NSIGMA = 3.0
 REDSHIFT_REL_FLOOR = 0.01
 
 
-def _redshift_onset(entries: list[TemperatureEntry]) -> tuple[float | None, float]:
+def _redshift_onset(temps, shifts, fr_stderr) -> tuple[float | None, float]:
     """First temperature with a significant red shift, and the threshold used.
 
     The threshold is max(REDSHIFT_NSIGMA * stderr(fr), REDSHIFT_REL_FLOOR *
@@ -113,15 +106,13 @@ def _redshift_onset(entries: list[TemperatureEntry]) -> tuple[float | None, floa
     synthetic or averaged data drives the fit errors far below any
     physically interesting shift.
     """
-    shifts = np.array([e.delta_f_hz for e in entries])
     max_red = float(max(0.0, -shifts.min(initial=0.0)))
     floor = REDSHIFT_REL_FLOOR * max_red
-    threshold = floor
-    for e in entries:
-        thr = max(REDSHIFT_NSIGMA * e.fit.stderr.get("fr_hz", 0.0), floor)
-        if e.delta_f_hz < -thr:
-            return e.temperature_k, thr
-    return None, threshold
+    thresholds = np.maximum(REDSHIFT_NSIGMA * fr_stderr, floor)
+    hits = np.flatnonzero(shifts < -thresholds)
+    if hits.size:
+        return float(temps[hits[0]]), float(thresholds[hits[0]])
+    return None, floor
 
 
 def _fit_or_error(trace: S21Trace) -> NotchFitResult | FitError:
@@ -169,53 +160,39 @@ def sweep_analyze(
     fr_ref = ref_fit.params.fr_hz
     omega = angular_frequency(fr_ref)
 
-    temps = [trace.temperature_k for trace, _ in fits]
-    qi_measured = [fit.qi for _, fit in fits]
+    temps = np.array([trace.temperature_k for trace, _ in fits])
+    qi_measured = np.array([fit.qi for _, fit in fits])
     chain = theory_chain(config, omega, temps)
-    budgets = make_budget(
+    budget = make_budget(
         temps, chain.q_tls, chain.delta_qp, chain.qi_theory, qi_measured,
         config.material, omega, config.fit.gap_model,
     )
     excess, negative = excess_qp_loss(qi_measured, chain.qi_theory)
-    film = chain.film
-    columns = (
-        chain.delta_qp, excess, negative,
-        film.sigma1_norm, film.sigma2_norm, film.sigma1_s_per_m, film.sigma2_s_per_m,
-    )
-    # the fields after the budget, in TemperatureEntry order
-    entries = [
-        TemperatureEntry(
-            trace.temperature_k, trace.source, fit, fit.params.fr_hz - fr_ref, budget, *row
-        )
-        for (trace, fit), budget, row in zip(
-            fits, budgets, zip(*(c.tolist() for c in columns))
-        )
-    ]
+    delta_f = np.array([fit.params.fr_hz for _, fit in fits]) - fr_ref
+    fr_stderr = np.array([fit.stderr.get("fr_hz", 0.0) for _, fit in fits])
 
-    lowt_cut = config.material.tc_kelvin / 10.0
-    plateau_vals = [
-        e.budget.nqp_measured_per_um3
-        for e in entries
-        if e.temperature_k < lowt_cut and e.budget.nqp_measured_per_um3 is not None
-    ]
-    onset_t, onset_threshold = _redshift_onset(entries)
-    n_excess_lowt = sum(
-        1 for e in entries if e.temperature_k < lowt_cut and e.excess_loss > 0.0
-    )
+    low_t = temps < config.material.tc_kelvin / 10.0
+    nqp = budget["nqp_measured_per_um3"]
+    plateau = nqp[low_t & ~np.isnan(nqp)]
+    onset_t, onset_threshold = _redshift_onset(temps, delta_f, fr_stderr)
     derived = {
         "reference_temperature_k": ref_trace.temperature_k,
         "reference_fr_hz": fr_ref,
-        "nqp_plateau_per_um3": (
-            median(plateau_vals) if plateau_vals else None
-        ),
-        "nqp_plateau_points": len(plateau_vals),
+        "nqp_plateau_per_um3": median(plateau) if plateau.size else None,
+        "nqp_plateau_points": plateau.size,
         "redshift_onset_k": onset_t,
         "redshift_threshold_hz": onset_threshold,
-        "excess_positive_below_tc_over_10": n_excess_lowt,
-        "negative_loss_points": sum(1 for e in entries if e.budget.negative_loss),
+        "excess_positive_below_tc_over_10": int(np.count_nonzero(low_t & (excess > 0.0))),
+        "negative_loss_points": int(np.count_nonzero(budget["negative_loss"])),
     }
     return AnalysisReport(
-        entries=entries,
+        fits=fits,
+        delta_f_hz=delta_f,
+        budget=budget,
+        delta_qp_theory=chain.delta_qp,
+        excess_loss=excess,
+        excess_negative=negative,
+        film=chain.film,
         failures=failures,
         derived=derived,
         provenance=provenance or {},

@@ -176,15 +176,17 @@ def test_criterion_06_quasiparticle_density_chain(sweep_artifacts):
         # two-path identity: the density conversion applied to the
         # theoretical loss must reproduce the stored theory density exactly
         omega_ref = angular_frequency(report.derived["reference_fr_hz"])
-        for e in report.entries:
+        for (trace, _), delta_qp, nqp in zip(
+            report.fits, report.delta_qp_theory, report.budget["nqp_theory_per_um3"]
+        ):
             recomputed = (
                 nqp_from_loss(
-                    e.delta_qp_theory, e.temperature_k, material, omega_ref,
+                    delta_qp, trace.temperature_k, material, omega_ref,
                     config.fit.gap_model,
                 )
                 * M3_TO_UM3
             )
-            assert e.budget.nqp_theory_per_um3 == recomputed
+            assert nqp == recomputed
 
         plateau = report.derived["nqp_plateau_per_um3"]
         assert report.derived["nqp_plateau_points"] > 0

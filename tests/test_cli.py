@@ -100,6 +100,26 @@ class TestExitCodes:
         assert stdout == "" and "run.temperatures" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["mb", "sweep"])
+    def test_duplicate_config_key_is_3_and_writes_nothing(
+        self, capsys, tmp_path, sweep_setup, command
+    ):
+        cfg_path, traces_dir = sweep_setup
+        # three alpha keys: json.loads alone would run with the last one
+        triple = '"alpha": 0.2, "alpha": 0.4, "alpha": '
+        text = cfg_path.read_text().replace('"alpha": ', triple, 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        argv = {
+            "mb": ["mb", "--points", "2"],
+            "sweep": ["sweep", str(traces_dir), "--out", str(out)],
+        }[command]
+        rc, stdout, err = run_cli(capsys, *argv, "--config", str(bad))
+        assert rc == 3, err
+        assert stdout == "" and 'duplicate key "alpha"' in err and str(bad) in err
+        assert not out.exists()
+
     def test_missing_input_is_1(self, capsys):
         rc, _, _ = run_cli(capsys, "dc", "/nonexistent/rt.csv")
         assert rc == 1

@@ -87,7 +87,6 @@ class TestDeltaQpMeasured:
         qtls = np.array([1e5, 1e12, 1e5, math.inf])
         arr = lossmodel.delta_qp_measured(qi, qtls)
         scalars = [lossmodel.delta_qp_measured(a, b) for a, b in zip(qi.tolist(), qtls.tolist())]
-        assert all(type(v) is float for v in scalars)
         assert arr.tolist() == scalars
         assert arr[2] < 0.0 and arr[3] == 0.0
 
@@ -136,12 +135,17 @@ class TestNqpFromLoss:
         delta = np.array([0.0, 1e-7, 2.167e-7, 3e-5, 1e-4])
         temps = np.array([0.0, 0.12, 0.5, 1.7, 2.9])
         arr = lossmodel.nqp_from_loss(delta, temps, nbn_film, OMEGA0, gap_model)
-        scalars = [
-            lossmodel.nqp_from_loss(d, t, nbn_film, OMEGA0, gap_model)
+        one_by_one = [
+            lossmodel.nqp_from_loss([d], [t], nbn_film, OMEGA0, gap_model).item()
             for d, t in zip(delta.tolist(), temps.tolist())
         ]
-        assert all(type(v) is float for v in scalars)
-        assert arr.tolist() == scalars
+        assert arr.tolist() == one_by_one
+
+
+BUDGET_FIELDS = [
+    "q_tls", "q_qp_theory", "qi_theory", "qi_measured", "delta_qp_measured",
+    "nqp_measured_per_um3", "nqp_theory_per_um3", "negative_loss",
+]
 
 
 def budgets(material, t, q_tls, delta_qp, qi_measured):
@@ -159,8 +163,9 @@ def budgets(material, t, q_tls, delta_qp, qi_measured):
 
 class TestBudget:
     def make(self, nbn_film, qi_measured=8e4, t=0.5, delta_qp=1e-7):
-        [budget] = budgets(nbn_film, [t], [1e5], [delta_qp], [qi_measured])
-        return budget
+        """The budget of one temperature: one float or bool per field."""
+        budget = budgets(nbn_film, [t], [1e5], [delta_qp], [qi_measured])
+        return {name: column.item() for name, column in budget.items()}
 
     def test_channel_identity_bitwise(self, nbn_film):
         # 1/(1/2.167e-7) differs from 2.167e-7 in the last digit: the budget
@@ -169,24 +174,24 @@ class TestBudget:
         assert 1.0 / (1.0 / 2.167e-7) != 2.167e-7
         for delta_qp in (1e-7, 2.167e-7):
             b = self.make(nbn_film, delta_qp=delta_qp)
-            assert b.qi_theory == lossmodel.qi_theory(1e5, delta_qp)
-            assert b.q_qp_theory == 1.0 / delta_qp
+            assert b["qi_theory"] == lossmodel.qi_theory(1e5, delta_qp)
+            assert b["q_qp_theory"] == 1.0 / delta_qp
 
     def test_negative_loss_flagging(self, nbn_film):
         clean = self.make(nbn_film, qi_measured=8e4)
-        assert not clean.negative_loss
-        assert clean.nqp_measured_per_um3 is not None
+        assert not clean["negative_loss"]
+        assert math.isfinite(clean["nqp_measured_per_um3"])
         noisy = self.make(nbn_film, qi_measured=2e5)  # better than TLS-only
-        assert noisy.negative_loss
-        assert noisy.nqp_measured_per_um3 is None
-        assert noisy.delta_qp_measured < 0.0
+        assert noisy["negative_loss"]
+        assert math.isnan(noisy["nqp_measured_per_um3"])
+        assert noisy["delta_qp_measured"] < 0.0
 
     def test_two_path_density_identity(self, nbn_film):
         b = self.make(nbn_film)
         recomputed = (
             lossmodel.nqp_from_loss(1e-7, 0.5, nbn_film, OMEGA0) * M3_TO_UM3
         )
-        assert b.nqp_theory_per_um3 == recomputed
+        assert b["nqp_theory_per_um3"] == recomputed
 
     def test_array_matches_per_element_calls(self, nbn_film):
         # T = 0, a negative measured loss (Qi above the TLS limit), a Qi of
@@ -197,28 +202,31 @@ class TestBudget:
         qi_measured = [8e4, 2e5, math.inf, 5e4, 7.421e3]
         whole = budgets(nbn_film, t, q_tls, delta_qp, qi_measured)
         one_by_one = [
-            budgets(nbn_film, *([v] for v in row))[0]
+            budgets(nbn_film, *([v] for v in row))
             for row in zip(t, q_tls, delta_qp, qi_measured)
         ]
-        assert whole == one_by_one
-        assert [b.negative_loss for b in whole] == [False, True, True, False, False]
-        for b, t_k, dqp in zip(whole, t, delta_qp):
-            assert b.delta_qp_measured == lossmodel.delta_qp_measured(b.qi_measured, b.q_tls)
-            assert b.nqp_theory_per_um3 == (
+        # the report.json budget fields, in report order
+        assert list(whole) == BUDGET_FIELDS
+        for name, column in whole.items():
+            each = np.concatenate([b[name] for b in one_by_one])
+            assert np.array_equal(column, each, equal_nan=True), name
+            assert column.dtype == (bool if name == "negative_loss" else float), name
+        assert whole["negative_loss"].tolist() == [False, True, True, False, False]
+        for i, (t_k, dqp) in enumerate(zip(t, delta_qp)):
+            b = {name: column[i] for name, column in whole.items()}
+            assert b["delta_qp_measured"] == lossmodel.delta_qp_measured(
+                b["qi_measured"], b["q_tls"]
+            )
+            assert b["nqp_theory_per_um3"] == (
                 lossmodel.nqp_from_loss(dqp, t_k, nbn_film, OMEGA0) * M3_TO_UM3
             )
-            if b.negative_loss:
-                assert b.nqp_measured_per_um3 is None
+            if b["negative_loss"]:
+                assert math.isnan(b["nqp_measured_per_um3"])
             else:
-                assert b.nqp_measured_per_um3 == (
-                    lossmodel.nqp_from_loss(b.delta_qp_measured, t_k, nbn_film, OMEGA0)
+                assert b["nqp_measured_per_um3"] == (
+                    lossmodel.nqp_from_loss(b["delta_qp_measured"], t_k, nbn_film, OMEGA0)
                     * M3_TO_UM3
                 )
-        assert all(
-            type(v) is float
-            for b in whole
-            for v in (b.q_tls, b.qi_theory, b.qi_measured, b.nqp_theory_per_um3)
-        )
 
     def test_one_bad_element_raises(self, nbn_film):
         with pytest.raises(ValueError, match="positive"):
@@ -228,23 +236,24 @@ class TestBudget:
 
     def test_excess_loss_cases(self, nbn_film):
         b = self.make(nbn_film, qi_measured=5e4)
-        excess, negative = lossmodel.excess_qp_loss(b.qi_measured, b.qi_theory)
-        assert excess == pytest.approx(1.0 / 5e4 - 1.0 / b.qi_theory, rel=1e-12)
+        excess, negative = lossmodel.excess_qp_loss(b["qi_measured"], b["qi_theory"])
+        assert excess == pytest.approx(1.0 / 5e4 - 1.0 / b["qi_theory"], rel=1e-12)
         assert not negative
         excess, negative = lossmodel.excess_qp_loss(1e5, lossmodel.qi_theory(1e5, 0.0))
         assert excess == 0.0 and not negative
         b_neg = self.make(nbn_film, qi_measured=1.5e5)
-        excess, negative = lossmodel.excess_qp_loss(b_neg.qi_measured, b_neg.qi_theory)
+        excess, negative = lossmodel.excess_qp_loss(
+            b_neg["qi_measured"], b_neg["qi_theory"]
+        )
         assert excess == 0.0 and negative
 
     def test_excess_array_matches_scalar_calls(self):
         qi_measured = np.array([5e4, 1e5, 1.5e5, math.inf, 7e3])
         qi_th = np.array([8e4, 1e5, 1e5, 1e5, math.inf])
         excess, negative = lossmodel.excess_qp_loss(qi_measured, qi_th)
-        scalars = [
-            lossmodel.excess_qp_loss(a, b)
+        one_by_one = [
+            tuple(v.item() for v in lossmodel.excess_qp_loss([a], [b]))
             for a, b in zip(qi_measured.tolist(), qi_th.tolist())
         ]
-        assert all(type(e) is float and type(n) is bool for e, n in scalars)
-        assert list(zip(excess.tolist(), negative.tolist())) == scalars
+        assert list(zip(excess.tolist(), negative.tolist())) == one_by_one
         assert negative.tolist() == [False, False, True, True, False]

@@ -443,3 +443,18 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             cfgmod.load_config(path)
+
+    @pytest.mark.parametrize("section", ["material", None], ids=["key", "section"])
+    def test_duplicate_key_rejected(self, tmp_path, section):
+        # json.loads alone would keep the last value without a word
+        doc = self.good_doc()
+        if section is None:
+            text = json.dumps(doc).replace('"tls": ', '"tls": {}, "tls": ', 1)
+            key = "tls"
+        else:
+            text = json.dumps(doc).replace('"alpha": ', '"alpha": 0.3, "alpha": ', 1)
+            key = "alpha"
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f'duplicate key "{key}"'):
+            cfgmod.load_config(path)

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import statistics
 from dataclasses import replace
 from pathlib import Path
 
@@ -152,43 +153,44 @@ class TestSweepAnalyze:
         config, traces, report = analyzed
         pts = loss_chain(config)
         injected = {round(p.temperature_k, 6): p.qi_total for p in pts}
-        assert len(report.entries) == len(pts)
-        for entry in report.entries:
-            want = injected[round(entry.temperature_k, 6)]
-            assert entry.budget.qi_measured == pytest.approx(want, rel=0.05)
+        assert len(report.fits) == len(pts)
+        for (trace, _), qi in zip(report.fits, report.budget["qi_measured"]):
+            want = injected[round(trace.temperature_k, 6)]
+            assert qi == pytest.approx(want, rel=0.05)
 
     def test_qi_theory_conservation_per_entry(self, analyzed):
         config, _, report = analyzed
         chain = theory_chain(
             config, angular_frequency(report.derived["reference_fr_hz"]),
-            [e.temperature_k for e in report.entries],
+            [trace.temperature_k for trace, _ in report.fits],
         )
-        assert [e.budget.qi_theory for e in report.entries] == chain.qi_theory.tolist()
+        assert report.budget["qi_theory"].tolist() == chain.qi_theory.tolist()
 
     def test_reference_is_fitted_trace_nearest_t_ref(self, analyzed, calibrated_doc):
         _, traces, _ = analyzed
         doc = dict(calibrated_doc, fit=dict(calibrated_doc["fit"], t_ref_kelvin=1.0))
         config = config_from_dict(doc)
         report = sweep_analyze(traces, config)
-        temps = [e.temperature_k for e in report.entries]
+        temps = [trace.temperature_k for trace, _ in report.fits]
         nearest = min(temps, key=lambda t: abs(t - 1.0))
         assert nearest != temps[0]
         assert report.derived["reference_temperature_k"] == nearest
-        ref = next(e for e in report.entries if e.temperature_k == nearest)
-        assert ref.delta_f_hz == 0.0
+        assert report.delta_f_hz[temps.index(nearest)] == 0.0
 
     def test_density_two_path_identity(self, analyzed):
         config, _, report = analyzed
         omega = angular_frequency(report.derived["reference_fr_hz"])
-        for e in report.entries:
+        for (trace, _), delta_qp, nqp in zip(
+            report.fits, report.delta_qp_theory, report.budget["nqp_theory_per_um3"]
+        ):
             recomputed = (
                 nqp_from_loss(
-                    e.delta_qp_theory, e.temperature_k, config.material, omega,
+                    delta_qp, trace.temperature_k, config.material, omega,
                     config.fit.gap_model,
                 )
                 * M3_TO_UM3
             )
-            assert e.budget.nqp_theory_per_um3 == recomputed
+            assert nqp == recomputed
 
     def test_order_independence(self, analyzed):
         config, traces, report = analyzed
@@ -206,10 +208,56 @@ class TestSweepAnalyze:
         ))
         config = config_from_dict(doc)
         report = sweep_analyze(synth_sweep(config), config)
-        max_red = -min(e.delta_f_hz for e in report.entries)
+        max_red = -report.delta_f_hz.min()
         assert max_red > 0
         assert report.derived["redshift_onset_k"] is None
         assert report.derived["redshift_threshold_hz"] == 0.01 * max_red
+
+    def test_derived_block_matches_its_rules(self, calibrated_doc, tmp_path):
+        # every derived field recomputed from report.json's per_temperature
+        # entries by the rules the README states, on a sweep where both
+        # counts are non-zero and the red shift has an onset whose threshold
+        # is 3 stderr(fr), above the 1% floor
+        temps = [*np.linspace(0.12, 1.0, 8), 1.1, 1.2, 1.25]
+        doc = dict(calibrated_doc, run=dict(
+            calibrated_doc["run"], temperatures=[round(t, 4) for t in temps], seed=14
+        ))
+        config = config_from_dict(doc)
+        emit_report(sweep_analyze(synth_sweep(config), config), tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        entries = report["per_temperature"]
+        t = [e["temperature_k"] for e in entries]
+        assert t == sorted(t)
+        ref = entries[0]  # no fit.t_ref_kelvin: the coldest fitted trace
+        shifts = [e["delta_f_hz"] for e in entries]
+        assert shifts == [e["fit"]["fr_hz"] - ref["fit"]["fr_hz"] for e in entries]
+        low_t = [e for e in entries if e["temperature_k"] < config.material.tc_kelvin / 10]
+        plateau = [
+            e["budget"]["nqp_measured_per_um3"] for e in low_t
+            if e["budget"]["nqp_measured_per_um3"] is not None
+        ]
+        floor = 0.01 * max(0.0, -min(shifts))
+        onset = (None, floor)
+        for e in entries:
+            thr = max(3.0 * e["fit"]["stderr"]["fr_hz"], floor)
+            if e["delta_f_hz"] < -thr:
+                onset = (e["temperature_k"], thr)
+                break
+        want = {
+            "reference_temperature_k": ref["temperature_k"],
+            "reference_fr_hz": ref["fit"]["fr_hz"],
+            "nqp_plateau_per_um3": statistics.median(plateau) if plateau else None,
+            "nqp_plateau_points": len(plateau),
+            "redshift_onset_k": onset[0],
+            "redshift_threshold_hz": onset[1],
+            "excess_positive_below_tc_over_10": sum(e["excess_loss"] > 0 for e in low_t),
+            "negative_loss_points": sum(e["budget"]["negative_loss"] for e in entries),
+        }
+        assert report["derived"] == want
+        assert want["excess_positive_below_tc_over_10"] > 0
+        assert want["negative_loss_points"] > 0
+        assert want["nqp_plateau_points"] > 0 and want["redshift_onset_k"] is not None
+        assert want["redshift_threshold_hz"] > floor
 
     def test_corrupt_trace_degrades_gracefully(self, analyzed):
         config, traces, _ = analyzed
@@ -224,7 +272,7 @@ class TestSweepAnalyze:
         report = sweep_analyze(traces + [junk], config)
         assert len(report.failures) == 1
         assert report.failures[0].source == "junk"
-        assert len(report.entries) == len(traces)
+        assert len(report.fits) == len(traces)
 
     def test_all_failed_is_error(self, analyzed):
         config, _, _ = analyzed
@@ -286,9 +334,15 @@ class TestEmitReport:
         assert loaded == report_to_dict(report)
 
     def test_empty_report_has_no_csvs(self, tmp_path):
+        from cpwloss.pipeline.forward import FilmResponse
         from cpwloss.pipeline.sweep import AnalysisReport
 
-        empty = AnalysisReport(entries=[], failures=[], derived={}, provenance={})
+        none = np.empty(0)
+        empty = AnalysisReport(
+            fits=[], delta_f_hz=none, budget={}, delta_qp_theory=none,
+            excess_loss=none, excess_negative=none.astype(bool),
+            film=FilmResponse(*[none] * 6), failures=[], derived={}, provenance={},
+        )
         written = emit_report(empty, tmp_path / "empty")
         assert [p.name for p in written] == ["report.json"]
         doc = json.loads((tmp_path / "empty" / "report.json").read_text())
@@ -300,11 +354,11 @@ class TestEmitReport:
         if infinite_qi:
             # a fit flagged nonphysical_qi carries qi = inf: null in
             # report.json, so an empty cell in the CSV as well
-            e = report.entries[1]
-            fit = replace(e.fit, qi=math.inf, stderr={**e.fit.stderr, "qi": math.inf})
-            entries = list(report.entries)
-            entries[1] = replace(e, fit=fit)
-            report = replace(report, entries=entries)
+            trace, fit = report.fits[1]
+            fits = list(report.fits)
+            stderr = {**fit.stderr, "qi": math.inf}
+            fits[1] = trace, replace(fit, qi=math.inf, stderr=stderr)
+            report = replace(report, fits=fits)
         out = tmp_path / "cols"
         emit_report(report, out)
         doc = json.loads((out / "report.json").read_text())
@@ -361,7 +415,7 @@ class TestEmitReport:
         out = tmp_path / "rows"
         emit_report(report, out)
         lines = (out / "qi_vs_T.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + len(report.entries)
+        assert len(lines) == 1 + len(report.fits)
 
 
 MB_COLUMNS = (
