@@ -12,7 +12,6 @@ included), 2 fit/convergence error, 3 configuration error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 from dataclasses import asdict, replace
@@ -27,14 +26,11 @@ from .photon import build_power_budget, power_for_photons
 from .pipeline.config import AnalysisConfig, load_config
 from .pipeline.dc import extract_tc_rrr
 from .pipeline.forward import film_response, synth_sweep
-from .pipeline.io import (
-    TRACE_SUFFIXES, ingest_rt, ingest_s21, read_bytes, write_s21_csv,
-)
-from .pipeline.parallel import ordered_map
+from .pipeline.io import TRACE_SUFFIXES, ingest_rt, ingest_s21, write_s21_csv
 from .pipeline.report import emit_report, fit_record, table_text, to_json
 from .pipeline.sweep import sweep_analyze
 from .pipeline.xrd import CU_KALPHA1_ANGSTROM, lattice_constant
-from .resfit import NotchParams, S21Trace, fit_notch, synth_trace
+from .resfit import NotchParams, fit_notch, synth_trace
 
 
 def _emit(record: dict, args) -> None:
@@ -60,12 +56,6 @@ def _require_config(args) -> AnalysisConfig:
     if not args.config:
         raise ConfigError("this command needs --config <path>")
     return load_config(args.config)
-
-
-def _read_trace(path: Path) -> tuple[S21Trace, str]:
-    """A sweep input's trace and the sha256 of the bytes it was parsed from."""
-    data = read_bytes(path)
-    return ingest_s21(path, data=data), hashlib.sha256(data).hexdigest()
 
 
 def cmd_mb(args) -> int:
@@ -104,18 +94,12 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
 
 def cmd_sweep(args) -> int:
     config = _require_config(args)
-    files = _collect_inputs(args.inputs)
-    work_bytes = sum(f.stat().st_size for f in files)
-    traces, digests = zip(*ordered_map(_read_trace, files, work_bytes))
     provenance = {
         "tool": "cpwloss",
         "tool_version": __version__,
         "config_sha256": config.digest,
-        "inputs": [
-            {"path": str(f), "sha256": d} for f, d in zip(files, digests)
-        ],
     }
-    report = sweep_analyze(traces, config, provenance=provenance)
+    report = sweep_analyze(_collect_inputs(args.inputs), config, provenance=provenance)
     out_dir = Path(args.out or ".")
     written = emit_report(report, out_dir)
     print(

@@ -125,7 +125,7 @@ def require_below_tc(t: np.ndarray, tc_kelvin: float) -> None:
 def gap_at_temperature(
     delta0_ev: float, t_kelvin, tc_kelvin: float, model: str = "bcs_tanh"
 ):
-    """Energy gap delta(T) in eV at temperature T (scalar or array).
+    """Energy gap delta(T) in eV, elementwise over the temperatures T.
 
     ``bcs_tanh`` uses the standard interpolation
     delta0 * tanh(1.74 * sqrt(Tc/T - 1)), which is exact at T = 0
@@ -145,7 +145,7 @@ def gap_at_temperature(
     else:
         with np.errstate(divide="ignore"):
             gap = delta0_ev * np.tanh(1.74 * np.sqrt(tc_kelvin / t - 1.0))
-    return float(gap) if gap.ndim == 0 else gap
+    return gap
 
 
 def _check_regime(hw_ev: float, delta0_ev: float, kt_max_ev: float) -> None:
@@ -189,8 +189,7 @@ def mb_sigma2_deficit(t_kelvin, omega_rad: float, delta0_ev: float):
     1 - bracket), so it stays resolvable in double precision far below the
     point where sigma2 itself rounds to its zero-temperature value.
     """
-    deficit = _thermal(t_kelvin, omega_rad, delta0_ev)[-1]
-    return float(deficit) if np.ndim(t_kelvin) == 0 else deficit
+    return _thermal(t_kelvin, omega_rad, delta0_ev)[-1]
 
 
 def mb_sigma_norm(
@@ -223,9 +222,6 @@ def mb_sigma_norm(
     sigma1 = (4.0 * delta0_ev / hw) * boltz * sinh_k0
     pref = (4.0 if sigma2_prefactor == "four" else np.pi) * delta0_ev / hw
     sigma2 = pref * (1.0 - deficit)
-
-    if np.ndim(t_kelvin) == 0:
-        return float(sigma1), float(sigma2)
     return sigma1, sigma2
 
 

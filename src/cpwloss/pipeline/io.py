@@ -21,10 +21,19 @@ Data rows are parsed with numpy's number syntax (``1e9``, ``-0.5``,
 are input errors. Malformed rows, including non-finite numbers, and
 metadata tags whose value is not a finite number raise :class:`InputError`
 with a 1-based line number.
+
+A reader splits its text once. The head, up to the first data row (the
+comments, the CSV header or the Touchstone option lines), goes through the
+numbered line scanner ``_lines``; the data block, from that row to the end,
+goes to one ``numpy.loadtxt`` call. Only when that call fails (a bad or
+non-finite number, a wrong column count, a comment line or a trailing
+comment) are the data rows numbered and read by the grammar above, so a
+file reads the same, and fails with the same message and line, either way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -95,14 +104,14 @@ def _table(rows: list[tuple[int, str]], ncols: int, delimiter: str | None, path)
     return table
 
 
-def _lines(text: str, path, comment: str, meta: dict | None = None, cut=False):
-    """Yield ``(lineno, line)`` for each stripped line of ``text`` that is
+def _lines(lines: list[str], path, comment: str, meta: dict | None = None, cut=False):
+    """Yield ``(lineno, line)`` for each stripped line of ``lines`` that is
     neither blank nor a whole-line ``comment``, with a trailing comment cut
     off when ``cut`` is set; comment lines set the metadata tags in ``meta``
     when it is given. Lines are scanned only as they are taken, so a
     caller's error on an early line comes before a tag error on a later one.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -124,18 +133,42 @@ def _lines(text: str, path, comment: str, meta: dict | None = None, cut=False):
             yield lineno, line
 
 
+def _one_call(lines: list[str], first: int, ncols: int, delimiter: str | None):
+    """The float table of the data block ``lines[first - 1:]``, parsed in
+    one call; None when the call rejects a row or a number is not finite.
+
+    A comment in the block also fails the call, as no number holds ``#``
+    or ``!``. The block starts at a data row, so the call never sees an
+    empty block. A None sends the caller to the numbered rows of ``_lines``,
+    which name the bad line or read the comment.
+    """
+    try:
+        table = _numbers(lines[first - 1 :], ncols, delimiter)
+    except ValueError:
+        return None
+    return table if np.isfinite(table).all() else None
+
+
 def _csv_table(text: str, path, headers: dict, kind: str, meta: dict | None):
     """The header's mode, the numbered data rows and their float table of a
-    CSV document; its first line is the header, one of ``headers``."""
-    lines = _lines(text, path, "#", meta)
-    lineno, line = next(lines, (None, None))
+    CSV document; its first line is the header, one of ``headers``. The
+    rows are an iterable, numbered only as they are taken."""
+    lines = text.splitlines()
+    numbered = _lines(lines, path, "#", meta)
+    lineno, line = next(numbered, (None, None))
     if line is None:
         raise InputError(f"{path}: empty file (no header found)")
     header = ",".join(tok.strip().lower() for tok in line.split(","))
     if header not in headers:
         raise InputError(f"{path}:{lineno}: unrecognized {kind} header {line!r}")
-    rows = list(lines)
-    return headers[header], rows, _table(rows, header.count(",") + 1, ",", path)
+    ncols = header.count(",") + 1
+    first = next(numbered, None)
+    rows = itertools.chain([first] if first else [], numbered)
+    table = _one_call(lines, first[0], ncols, ",") if first else None
+    if table is None:
+        rows = list(rows)
+        table = _table(rows, ncols, ",", path)
+    return headers[header], rows, table
 
 
 def _s21(mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -184,19 +217,31 @@ _TS_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 def _parse_touchstone(text: str, path) -> S21Trace:
     meta: dict = {}
-    lines = list(_lines(text, path, "!", meta, cut=True))
-    if not lines:
+    lines = text.splitlines()
+    numbered = _lines(lines, path, "!", meta, cut=True)
+    rows = []
+    for row in numbered:  # the "#" option lines, up to the first data row
+        rows.append(row)
+        if row[1][0] != "#":
+            break
+    if not rows:
         raise InputError(f"{path}: empty touchstone file")
+    table = None
+    if rows[-1][1][0] != "#":
+        table = _one_call(lines, rows[-1][0], 9, None)
+    if table is None:
+        rows += numbered
     unit, fmt = 1e9, "ma"
     # every token of the "#" option lines, in order; a later one overrides
-    for tok in " ".join(line[1:] for _, line in lines if line[0] == "#").lower().split():
+    for tok in " ".join(line[1:] for _, line in rows if line[0] == "#").lower().split():
         if tok in _TS_UNITS:
             unit = _TS_UNITS[tok]
         elif tok in ("ri", "db", "ma"):
             fmt = tok
     if fmt == "ma":
         raise InputError(f"{path}: MA-format touchstone is not supported; use RI or DB")
-    table = _table([row for row in lines if row[1][0] != "#"], 9, None, path)
+    if table is None:
+        table = _table([row for row in rows if row[1][0] != "#"], 9, None, path)
     return _finish_trace(table[:, 0] * unit, _s21(fmt, table[:, 3], table[:, 4]), meta, path)
 
 
@@ -247,7 +292,8 @@ def ingest_rt(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     negative = table[:, 1] < 0
     if negative.any():
         i = int(np.argmax(negative))
-        raise InputError(f"{p}:{rows[i][0]}: negative resistance {table[i, 1]}")
+        lineno = next(itertools.islice(rows, i, None))[0]
+        raise InputError(f"{p}:{lineno}: negative resistance {table[i, 1]}")
     order = np.argsort(table[:, 0], kind="stable")
     t_arr, r_arr = table[order, 0], table[order, 1]
     if np.any(t_arr[1:] == t_arr[:-1]):

@@ -5,7 +5,10 @@ as the CPUs this process may run on, the number of items and the size rule
 allow, and returns the results in input order. Below two workers it is the
 builtin ``map`` in this process. The workers are forked, so they inherit
 the loaded modules, ``fn`` and ``items``; only item indices go to them and
-only results come back. Forking is safe while no other thread runs in the
+only results come back. They take the items largest first, by the input
+bytes the caller gives for each, so the map does not end waiting on a large
+item taken last. ``cpwloss sweep`` makes one map per run, over its trace
+files (see :mod:`.sweep`). Forking is safe while no other thread runs in the
 calling process, as in the CLI: the workers are all forked before the pool
 starts its own threads, and those have ended when ``ordered_map`` returns.
 
@@ -21,8 +24,8 @@ import warnings
 
 # the least input, in bytes, that one worker process is started for: below
 # twice this a map stays in this process. On a 2-CPU host two workers broke
-# even at about 1 MiB each for trace ingest and 0.4 MiB for fits; this keeps
-# a factor of two or more above both.
+# even at about 1 MiB each of trace files to read and 0.4 MiB of arrays to
+# fit; this keeps a factor of two or more above both.
 MIN_BYTES_PER_WORKER = 2 << 20
 
 _job = None  # a worker's (fn, items), set when the worker starts
@@ -55,7 +58,7 @@ def _run(i: int):
     return out, err, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def ordered_map(fn, items, work_bytes: int) -> list:
+def ordered_map(fn, items, sizes: list[int]) -> list:
     """``list(map(fn, items))``, on worker processes when the work is large.
 
     Args:
@@ -63,10 +66,11 @@ def ordered_map(fn, items, work_bytes: int) -> list:
             of this process, so anything it changes besides its result is
             lost.
         items: a sequence of independent work items.
-        work_bytes: the size of the input the items stand for, which the
-            size rule of :func:`worker_count` weighs.
+        sizes: the input bytes each item stands for. Their sum is what the
+            size rule of :func:`worker_count` weighs; the pool takes the
+            items largest first, so the last ones to finish are small.
     """
-    n = worker_count(len(items), work_bytes)
+    n = worker_count(len(items), sum(sizes))
     if n < 2:
         return list(map(fn, items))
     import multiprocessing
@@ -76,12 +80,14 @@ def ordered_map(fn, items, work_bytes: int) -> list:
     # when a worker dies; fork passes the initializer's arguments unpickled
     fork = multiprocessing.get_context("fork")
     chunk = -(-len(items) // (4 * n))
+    order = sorted(range(len(items)), key=lambda i: -sizes[i])
     with ProcessPoolExecutor(
         n, mp_context=fork, initializer=_start_worker, initargs=(fn, items)
     ) as pool:
-        done = list(pool.map(_run, range(len(items)), chunksize=chunk))
+        done = dict(zip(order, pool.map(_run, order, chunksize=chunk)))
     results = []
-    for out, err, caught in done:
+    for i in range(len(items)):
+        out, err, caught = done[i]
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
         if err is not None:

@@ -21,11 +21,14 @@ from functools import reduce
 from json.encoder import encode_basestring_ascii
 from operator import getitem
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..resfit import NotchFitResult
-from .sweep import AnalysisReport
+
+if TYPE_CHECKING:
+    from .sweep import AnalysisReport
 
 SCHEMA_VERSION = 1
 

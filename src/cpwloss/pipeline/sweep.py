@@ -1,22 +1,28 @@
-"""Temperature-sweep orchestration: fit every trace, assemble loss budgets.
+"""Temperature-sweep orchestration: read and fit each input, build loss budgets.
 
-``sweep_analyze`` takes the traces and the one ``AnalysisConfig``. It first
-sets aside, as failure entries, the traces the model cannot describe (at or
-below 0 K, at or above Tc, untagged), and checks that the rest make one
-sweep. Per-temperature fits are independent (no shared mutable state), so
-they run on a forked worker pool when the sweep is large enough to pay for
-one (see :mod:`.parallel`). Results are merged in ascending temperature order, and a
-fit's bits do not depend on the process it ran in, so the report is the
-same from the pool and from one process. After the fits, the theory chain,
-the loss budget and the excess loss are each one array call over the
-fitted temperatures; no step loops over temperatures. The results stay
-arrays over those temperatures in the ``AnalysisReport``; the report writer
-is the one place that turns them into per-temperature rows.
+``sweep_analyze`` takes the inputs, trace files or ``S21Trace`` records, and
+the one ``AnalysisConfig``. It makes one pass per input, as one map: read
+the file's bytes, take their sha256, parse the trace (a given trace skips
+these steps) and fit it, unless the trace is untagged or tagged at or below
+0 K or at or above Tc. Inputs are independent (no shared mutable state), so
+the map runs on a forked worker pool when the files are large enough to
+pay for one (see :mod:`.parallel`). The set-aside traces become failure
+entries, and the checks that the rest make one sweep come after the map.
+Results are merged in ascending temperature order, and a fit's bits do not
+depend on the process it ran in, so the report is the same from the pool
+and from one process. After the fits, the theory chain, the loss budget
+and the excess loss are each one array call over the fitted temperatures;
+no step loops over temperatures. The results stay arrays over those
+temperatures in the ``AnalysisReport``; the report writer is the one place
+that turns them into per-temperature rows.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from ..lossmodel import excess_qp_loss, make_budget
 from ..resfit import NotchFitResult, S21Trace, fit_notch, median
 from .config import AnalysisConfig
 from .forward import FilmResponse, theory_chain
+from .io import ingest_s21, read_bytes
 from .parallel import ordered_map
 
 
@@ -54,16 +61,16 @@ class AnalysisReport:
 
 
 def _partition(
-    traces: list[S21Trace], tc: float
-) -> tuple[list[S21Trace], list[FailureEntry]]:
-    """The traces to fit, ascending in T, and the failures of those set aside
-    (T <= 0 K, then T >= Tc, ascending; then untagged); InputError when the
-    traces to fit are not one sweep."""
+    results: list[tuple[S21Trace, NotchFitResult | FitError | None]], tc: float
+) -> tuple[list[tuple[S21Trace, NotchFitResult | FitError]], list[FailureEntry]]:
+    """The (trace, fit) pairs to use, ascending in T, and the failures of the
+    traces set aside (T <= 0 K, then T >= Tc, ascending; then untagged);
+    InputError when the pairs to use are not one sweep."""
     tagged = sorted(
-        (tr for tr in traces if tr.temperature_k is not None),
-        key=lambda tr: tr.temperature_k,
+        (pair for pair in results if pair[0].temperature_k is not None),
+        key=lambda pair: pair[0].temperature_k,
     )
-    kept = [tr for tr in tagged if 0.0 < tr.temperature_k < tc]
+    kept = [pair for pair in tagged if 0.0 < pair[0].temperature_k < tc]
 
     def reason(t: float) -> str:
         if t <= 0.0:
@@ -72,20 +79,20 @@ def _partition(
 
     set_aside = [
         FailureEntry(tr.source, tr.temperature_k, reason(tr.temperature_k))
-        for tr in tagged if not 0.0 < tr.temperature_k < tc
+        for tr, _ in tagged if not 0.0 < tr.temperature_k < tc
     ] + [
         FailureEntry(tr.source, None, "no temperature tag")
-        for tr in traces if tr.temperature_k is None
+        for tr, _ in results if tr.temperature_k is None
     ]
     if len(kept) < 2:
         raise InputError("sweep needs at least 2 temperature-tagged traces below Tc")
-    for a, b in zip(kept, kept[1:]):
+    for (a, _), (b, _) in zip(kept, kept[1:]):
         if b.temperature_k <= a.temperature_k:
             raise InputError(
                 f"trace temperatures must be distinct: {a.source} and "
                 f"{b.source} are both at {a.temperature_k} K"
             )
-    powers = [tr.power_dbm for tr in kept if tr.power_dbm is not None]
+    powers = [tr.power_dbm for tr, _ in kept if tr.power_dbm is not None]
     if powers and max(powers) - min(powers) > 0.5:
         raise InputError(
             "traces span more than 0.5 dB of drive power; "
@@ -98,53 +105,85 @@ REDSHIFT_NSIGMA = 3.0
 REDSHIFT_REL_FLOOR = 0.01
 
 
-def _redshift_onset(temps, shifts, fr_stderr) -> tuple[float | None, float]:
+def _redshift_onset(temps, shifts, fr_stderr, ref_stderr) -> tuple[float | None, float]:
     """First temperature with a significant red shift, and the threshold used.
 
-    The threshold is max(REDSHIFT_NSIGMA * stderr(fr), REDSHIFT_REL_FLOOR *
-    largest red shift). The relative floor keeps the onset meaningful when
-    synthetic or averaged data drives the fit errors far below any
-    physically interesting shift.
+    A shift is the difference of two fitted frequencies, so its error
+    combines both: the threshold is max(REDSHIFT_NSIGMA * sqrt(stderr(fr)^2
+    + stderr(fr_ref)^2), REDSHIFT_REL_FLOOR * largest red shift). The
+    relative floor keeps the onset meaningful when synthetic or averaged
+    data drives the fit errors far below any physically interesting shift.
     """
     max_red = float(max(0.0, -shifts.min(initial=0.0)))
     floor = REDSHIFT_REL_FLOOR * max_red
-    thresholds = np.maximum(REDSHIFT_NSIGMA * fr_stderr, floor)
+    thresholds = np.maximum(REDSHIFT_NSIGMA * np.hypot(fr_stderr, ref_stderr), floor)
     hits = np.flatnonzero(shifts < -thresholds)
     if hits.size:
         return float(temps[hits[0]]), float(thresholds[hits[0]])
     return None, floor
 
 
-def _fit_or_error(trace: S21Trace) -> NotchFitResult | FitError:
+def _read_and_fit(item: S21Trace | Path, tc: float):
+    """One sweep input: its trace, the sha256 of the file it was read from
+    (None for an ``S21Trace`` item, which is not read), and its fit, a
+    ``FitError``, or None when the trace is set aside: untagged, or tagged
+    outside (0, Tc)."""
+    digest = None
+    if not isinstance(item, S21Trace):
+        data = read_bytes(item)
+        digest = hashlib.sha256(data).hexdigest()
+        item = ingest_s21(item, data=data)
+    t = item.temperature_k
+    if t is None or not 0.0 < t < tc:
+        return item, digest, None
     try:
-        return fit_notch(trace)
+        return item, digest, fit_notch(item)
     except FitError as exc:
-        return exc
+        return item, digest, exc
+
+
+def _work_bytes(item: S21Trace | Path) -> int:
+    """The input bytes of one sweep input, as the pool's size rule weighs them."""
+    if isinstance(item, S21Trace):
+        return item.freq_hz.nbytes + item.s21.nbytes
+    return Path(item).stat().st_size
 
 
 def sweep_analyze(
-    traces: list[S21Trace], config: AnalysisConfig, provenance: dict | None = None
+    inputs: list[S21Trace | Path], config: AnalysisConfig, provenance: dict | None = None
 ) -> AnalysisReport:
-    """Fit every trace and decompose the loss budget per temperature.
+    """Read and fit every input and decompose the loss budget per temperature.
 
-    Traces at or below 0 K, at or above the film's Tc and untagged ones are
-    set aside; they and the unfittable traces degrade to failure entries,
-    and the analysis fails only when no trace fits. The material, geometry
-    and tls sections of ``config`` are required. The reference trace is the
-    coldest successful one, or, with ``fit.t_ref_kelvin`` set, the
-    successful trace nearest that temperature. The theory chain (conductivity, surface
-    impedance, TLS) is evaluated at the reference trace's fitted resonance
-    frequency, once over all fitted temperatures, and ``delta_f_hz`` is
-    measured from it.
+    An input is a trace file, read by its suffix (``io.ingest_s21``), or an
+    ``S21Trace``. Each input is read, hashed and fitted in one step of one
+    map, on the worker pool when the inputs are large enough. The report's
+    provenance gets an ``inputs`` list with the path and the sha256 of each
+    file, in input order. Traces at or below 0 K, at or above the film's Tc
+    and untagged ones are set aside unfitted; they and the unfittable
+    traces degrade to failure entries, and the analysis fails only when no
+    trace fits. The material, geometry and tls sections of ``config`` are
+    required. The reference trace is the coldest successful one, or, with
+    ``fit.t_ref_kelvin`` set, the successful trace nearest that
+    temperature. The theory chain (conductivity, surface impedance, TLS)
+    is evaluated at the reference trace's fitted resonance frequency, once
+    over all fitted temperatures, and ``delta_f_hz`` is measured from it.
     """
     config.require("material", "geometry", "tls")
-    traces, set_aside = _partition(traces, config.material.tc_kelvin)
-    work_bytes = sum(tr.freq_hz.nbytes + tr.s21.nbytes for tr in traces)
-    results = list(zip(traces, ordered_map(_fit_or_error, traces, work_bytes)))
-    fits = [(trace, r) for trace, r in results if not isinstance(r, FitError)]
+    tc = config.material.tc_kelvin
+    sizes = [_work_bytes(item) for item in inputs]
+    results = ordered_map(partial(_read_and_fit, tc=tc), inputs, sizes)
+    files = [
+        {"path": str(item), "sha256": digest}
+        for item, (_, digest, _) in zip(inputs, results)
+        if digest is not None
+    ]
+    if files:
+        provenance = {**(provenance or {}), "inputs": files}
+    kept, set_aside = _partition([(tr, fit) for tr, _, fit in results], tc)
+    fits = [(trace, r) for trace, r in kept if not isinstance(r, FitError)]
     failures = [
         FailureEntry(trace.source, trace.temperature_k, str(r))
-        for trace, r in results
+        for trace, r in kept
         if isinstance(r, FitError)
     ] + set_aside
     if not fits:
@@ -174,7 +213,9 @@ def sweep_analyze(
     low_t = temps < config.material.tc_kelvin / 10.0
     nqp = budget["nqp_measured_per_um3"]
     plateau = nqp[low_t & ~np.isnan(nqp)]
-    onset_t, onset_threshold = _redshift_onset(temps, delta_f, fr_stderr)
+    onset_t, onset_threshold = _redshift_onset(
+        temps, delta_f, fr_stderr, ref_fit.stderr.get("fr_hz", 0.0)
+    )
     derived = {
         "reference_temperature_k": ref_trace.temperature_k,
         "reference_fr_hz": fr_ref,

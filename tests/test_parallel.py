@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from cpwloss import cli
 from cpwloss.errors import DataQualityWarning
 from cpwloss.pipeline import parallel
+from cpwloss.pipeline import sweep as analysis
 from cpwloss.pipeline.config import config_from_dict
 from cpwloss.pipeline.forward import calibrate_sweep_config, synth_sweep
 from cpwloss.pipeline.io import write_s21_csv
@@ -77,7 +79,7 @@ def test_pool_writes_the_in_process_report(capsys, monkeypatch, tmp_path, sweep_
         m.setattr(parallel, "MIN_BYTES_PER_WORKER", IN_PROCESS)
         assert sweep(capsys, sweep_dir, tmp_path / "serial") == (0, "")
     assert sweep(capsys, sweep_dir, tmp_path / "pool") == (0, "")
-    assert [n >= 2 for n in pooled] == [False, False, True, True]  # ingest, fits
+    assert [n >= 2 for n in pooled] == [False, True]  # one map per run
     names = sorted(p.name for p in (tmp_path / "serial").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
     assert "report.json" in names and len(names) > 1
@@ -122,6 +124,40 @@ def test_malformed_file_fails_as_in_process(capsys, monkeypatch, tmp_path, sweep
     assert rc == 1 and err.startswith("error: ") and sorted(bad.iterdir())[4].name in err
 
 
+@pytest.mark.parametrize("on_pool", [False, True])
+def test_set_aside_traces_never_reach_the_fit(
+    capsys, monkeypatch, tmp_path, sweep_dir, pooled, on_pool
+):
+    tc = json.loads((sweep_dir / "config.json").read_text())["material"]["tc_kelvin"]
+    mixed = tmp_path / "traces"
+    mixed.mkdir()
+    fittable = sorted((sweep_dir / "traces").iterdir())
+    for p in fittable:
+        (mixed / p.name).write_bytes(p.read_bytes())
+    body = fittable[0].read_text().split("\n", 1)[1]  # the tag line dropped
+    aside = {"t_zero.csv": 0.0, "t_negative.csv": -1.0, "t_tc.csv": tc, "t_hot.csv": 11.5}
+    for name, t in aside.items():
+        (mixed / name).write_text(f"# temperature_K={t!r}\n{body}")
+    (mixed / "untagged.csv").write_text(body)
+    log = tmp_path / "fitted.txt"
+    real = analysis.fit_notch
+
+    def spy(trace):
+        with open(log, "a") as fh:  # a worker's own list would be lost
+            fh.write(f"{Path(trace.source).name}\n")
+        return real(trace)
+
+    monkeypatch.setattr(analysis, "fit_notch", spy)
+    if not on_pool:
+        monkeypatch.setattr(parallel, "MIN_BYTES_PER_WORKER", IN_PROCESS)
+    assert sweep(capsys, sweep_dir, tmp_path / "out", [str(mixed)]) == (0, "")
+    assert [n >= 2 for n in pooled] == [on_pool]
+    assert sorted(log.read_text().split()) == [p.name for p in fittable]
+    report = json.loads((tmp_path / "out" / "report.json").read_bytes())
+    failed = {Path(f["source"]).name for f in report["failures"]}
+    assert failed >= {*aside, "untagged.csv"}
+
+
 def _getpid(_):
     return os.getpid()
 
@@ -130,7 +166,7 @@ def test_worker_count_stays_within_the_affinity_mask(pooled):
     cpus = len(os.sched_getaffinity(0))
     assert parallel.worker_count(10**6, 10**15) == cpus
     assert parallel.worker_count(1, 10**15) == 1
-    pids = set(parallel.ordered_map(_getpid, range(64), 10**15))
+    pids = set(parallel.ordered_map(_getpid, range(64), [10**15] * 64))
     assert os.getpid() not in pids and len(pids) <= cpus
 
 
@@ -138,7 +174,7 @@ def test_size_rule_keeps_small_work_in_process():
     assert parallel.MIN_BYTES_PER_WORKER > 0
     small = 2 * parallel.MIN_BYTES_PER_WORKER - 1
     assert parallel.worker_count(10**6, small) == 1
-    assert set(parallel.ordered_map(_getpid, range(8), small)) == {os.getpid()}
+    assert set(parallel.ordered_map(_getpid, range(8), [small] + [0] * 7)) == {os.getpid()}
 
 
 def _square_or_fail(x):
@@ -148,21 +184,44 @@ def _square_or_fail(x):
     return x * x
 
 
+def _ascending(work_bytes, n):
+    # sizes that grow with the item index, so the pool takes the items last
+    # first
+    return [work_bytes * (i + 1) for i in range(n)]
+
+
 @pytest.mark.parametrize("work_bytes", [0, 10**15])
 def test_results_warnings_and_first_error_in_item_order(pooled, work_bytes):
     # no work bytes: in process; otherwise on the pool, which leaves no
     # thread behind to make the next fork unsafe
     threads = threading.active_count()
     with pytest.warns(DataQualityWarning) as record:
-        assert parallel.ordered_map(_square_or_fail, [2, 1, 0], work_bytes) == [4, 1, 0]
+        out = parallel.ordered_map(_square_or_fail, [2, 1, 0], _ascending(work_bytes, 3))
+    assert out == [4, 1, 0]
     assert [str(w.message) for w in record] == ["item 2", "item 1", "item 0"]
     with pytest.warns(DataQualityWarning) as record:
         with pytest.raises(ValueError, match="^item 3$"):
-            parallel.ordered_map(_square_or_fail, [0, 1, 2, 3, 4, 5], work_bytes)
+            parallel.ordered_map(_square_or_fail, [0, 1, 2, 3, 4, 5], _ascending(work_bytes, 6))
     assert [str(w.message) for w in record] == ["item 0", "item 1", "item 2"]
     assert [n >= 2 for n in pooled] == [work_bytes > 0] * 2
     assert threading.active_count() == threads
-    assert parallel.ordered_map(lambda x: -x, [1, 2], work_bytes) == [-1, -2]
+    assert parallel.ordered_map(lambda x: -x, [1, 2], [work_bytes] * 2) == [-1, -2]
+
+
+def _start_then_sleep(seconds):
+    start = time.monotonic()
+    time.sleep(seconds)
+    return start
+
+
+def test_pool_takes_the_largest_items_first(monkeypatch, pooled):
+    # two workers (10 bytes, 5 per worker); the two largest items are given
+    # last and each holds a worker for 0.3 s, so the two small ones can
+    # start only after both have started
+    monkeypatch.setattr(parallel, "MIN_BYTES_PER_WORKER", 5)
+    starts = parallel.ordered_map(_start_then_sleep, [0.3] * 4, [1, 2, 3, 4])
+    assert pooled == [2]
+    assert max(starts[2:]) <= min(starts[:2])
 
 
 def test_dead_worker_fails_the_map():
@@ -173,7 +232,7 @@ def test_dead_worker_fails_the_map():
         "from cpwloss.pipeline import parallel\n"
         "parallel.MIN_BYTES_PER_WORKER = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "parallel.ordered_map(os._exit, [3, 3], 10**15)\n"
+        "parallel.ordered_map(os._exit, [3, 3], [10**15] * 2)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cpwloss.errors import ConfigError, DataQualityWarning, InputError
 from cpwloss.pipeline import config as cfgmod
+from cpwloss.pipeline import io as io_module
 from cpwloss.pipeline.dc import extract_tc_rrr
 from cpwloss.pipeline.io import ingest_rt, ingest_s21, write_s21_csv
 from cpwloss.pipeline.xrd import lattice_constant
@@ -267,6 +268,85 @@ def test_fuzz_bad_token_names_its_line(tmp_path, fmt, data):
     assert f":{bad_line}:" in str(info.value)
     if token == "-2.5":
         assert "negative resistance" in str(info.value)
+
+
+# lines that may stand between the rows of a data block, by comment character
+BLOCK_FILLERS = {
+    "#": ["", "   ", "\t", "# note", "# temperature_K=0.3", "# power_dbm=-100",
+          "#temperature_K=nan", "# temperature_K=x"],
+    "!": ["", "   ", "\t", "! note", "! temperature_K=0.7", "! power_dbm = -90",
+          "! power_dbm=inf", "# GHz S RI R 50", "# MHz S MA R 50"],
+}
+
+
+@st.composite
+def block_documents(draw, fmt):
+    """A document of one format whose data block mixes good rows with the
+    cases the one-call parse hands to the numbered rows."""
+    _, _, header, ncols, sep, _ = FORMATS[fmt]
+    comment = "!" if fmt == "s2p" else "#"
+    # the filler lines of this document: often none, so that the one-call
+    # parse also meets the bad rows
+    fillers = sorted(draw(st.sets(st.sampled_from(BLOCK_FILLERS[comment]), max_size=3)))
+    filler_lines = st.lists(st.sampled_from(fillers), max_size=2) if fillers else st.just([])
+    lines = list(header)
+    for i in range(draw(st.integers(0, 6))):
+        lines += draw(filler_lines)
+        freq = draw(st.sampled_from([5.0e9 + 1e3 * i] * 4 + [5.0e9, 4.0e9]))
+        cells = [repr(freq)] + [repr(1.0 - 0.1 * i)] * (ncols - 1)
+        if draw(st.integers(0, 7)) == 0:
+            cells[draw(st.integers(0, ncols - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        if draw(st.integers(0, 7)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0.5"]
+        row = sep.join(cells)
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        row = pad + row + draw(st.sampled_from(["", " ", "\t"]))
+        if fmt == "s2p" and draw(st.integers(0, 5)) == 0:
+            row += " ! trailing"
+        lines.append(row)
+    lines += draw(filler_lines)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _outcome(tmp_path, fmt, text):
+    """The bytes and metadata a reader returns for ``text``, or its
+    InputError text."""
+    try:
+        out = _read(tmp_path, fmt, text)
+    except InputError as exc:
+        return str(exc)
+    if fmt == "rt":
+        return tuple(a.tobytes() for a in out)
+    return (out.freq_hz.tobytes(), out.s21.tobytes(), out.temperature_k,
+            out.power_dbm, out.source)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(FUZZ, max_examples=60)
+@given(data=st.data())
+def test_one_call_parse_matches_the_numbered_rows(tmp_path, monkeypatch, fmt, data):
+    text = data.draw(block_documents(fmt))
+    one_call = _outcome(tmp_path, fmt, text)
+    with monkeypatch.context() as m:
+        m.setattr(io_module, "_one_call", lambda *args: None)
+        assert _outcome(tmp_path, fmt, text) == one_call
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_clean_data_block_is_parsed_in_one_call(tmp_path, monkeypatch, fmt):
+    _, _, header, ncols, sep, _ = FORMATS[fmt]
+    rows = [sep.join([repr(5.0e9 + 1e3 * i)] + ["0.5"] * (ncols - 1)) for i in range(50)]
+    calls = []
+    real = io_module._numbers
+
+    def counted(lines, *args):
+        calls.append(len(lines))
+        return real(lines, *args)
+
+    monkeypatch.setattr(io_module, "_numbers", counted)
+    _read(tmp_path, fmt, "\n".join([*header, *rows]) + "\n")
+    assert calls == [50]
 
 
 def synthetic_rt(tc=10.7, plateau=159.5, rrr=0.98, width=0.08):

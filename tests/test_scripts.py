@@ -1,3 +1,4 @@
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -33,3 +34,35 @@ def test_output_digests_writes_each_output(tmp_path, monkeypatch):
         "sweep_ref/report.json", "sweep_ref/sigma_vs_T.csv", "sweep_ref/stdout",
         "theory_table/mb.json", "theory_table/mb.csv", "calibration/config.json",
     ]
+
+
+def test_bench_pairs_summary_on_fixed_runs():
+    script = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    parent, change = [4.0, 1.0, 3.0, 2.0, 5.0], [3.0, 2.0, 1.0, 1.0, 4.0]
+    lower = script["summarize"](parent, change, "lower")
+    assert lower["parent"] == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert lower["change"] == {"q1": 1.0, "median": 2.0, "q3": 3.0}
+    assert lower["change_wins"] == "4/5"
+    assert lower["change_over_parent"] == pytest.approx(2.0 / 3.0)
+    assert (lower["parent_iqr"], lower["median_gap"]) == (2.0, 1.0)
+    assert (lower["parent_runs"], lower["change_runs"]) == (parent, change)
+    higher = script["summarize"](parent, change, "higher")
+    assert (higher["change_wins"], higher["median_gap"]) == ("1/5", 1.0)
+
+
+def test_bench_pairs_summary_reproduces_the_committed_records():
+    # every committed BENCH_*.json metric that lists its runs
+    script = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    checked = 0
+    for path in sorted(SCRIPTS.parent.glob("BENCH_*.json")):
+        for workload in json.loads(path.read_text())["workloads"].values():
+            for name, want in workload["metrics"].items():
+                if "parent_runs" not in want:
+                    continue
+                got = script["summarize"](want["parent_runs"], want["change_runs"], want["better"])
+                assert got["change_wins"] == want["change_wins"], (path.name, name)
+                for key, value in got.items():
+                    if key != "change_wins":
+                        assert value == pytest.approx(want[key], rel=1e-12), (path.name, key)
+                checked += 1
+    assert checked >= 4

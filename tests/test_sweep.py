@@ -238,8 +238,9 @@ class TestSweepAnalyze:
         ]
         floor = 0.01 * max(0.0, -min(shifts))
         onset = (None, floor)
-        for e in entries:
-            thr = max(3.0 * e["fit"]["stderr"]["fr_hz"], floor)
+        ref_err = ref["fit"]["stderr"]["fr_hz"]
+        for e in entries:  # a shift's error combines its trace's and the reference's
+            thr = max(3.0 * math.hypot(e["fit"]["stderr"]["fr_hz"], ref_err), floor)
             if e["delta_f_hz"] < -thr:
                 onset = (e["temperature_k"], thr)
                 break
@@ -258,6 +259,24 @@ class TestSweepAnalyze:
         assert want["negative_loss_points"] > 0
         assert want["nqp_plateau_points"] > 0 and want["redshift_onset_k"] is not None
         assert want["redshift_threshold_hz"] > floor
+
+    def test_noise_alone_sets_no_redshift_onset(self):
+        # fr moves by tens of Hz only above 1 K here; with the reference
+        # trace's own fr error left out of the threshold, this seed's noise
+        # set an onset at 0.2457 K
+        temps = [round(v, 4) for v in np.linspace(0.12, 1.0, 8)] + [1.1, 1.2]
+        doc = calibrate_sweep_config(
+            temperatures=temps, noise_sigma=5e-4, npoints=501, seed=13
+        )
+        config = config_from_dict(doc)
+        report = sweep_analyze(synth_sweep(config), config)
+        onset = report.derived["redshift_onset_k"]
+        assert onset is None or onset >= 1.0
+        if onset is not None:
+            errs = [fit.stderr["fr_hz"] for _, fit in report.fits]
+            i = [tr.temperature_k for tr, _ in report.fits].index(onset)
+            want = 3.0 * math.hypot(errs[i], errs[0])
+            assert report.derived["redshift_threshold_hz"] == pytest.approx(want, rel=1e-12)
 
     def test_corrupt_trace_degrades_gracefully(self, analyzed):
         config, traces, _ = analyzed
