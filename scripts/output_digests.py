@@ -9,7 +9,9 @@ Writes each output under a temporary directory and prints one
   ``perfbench/gen.py`` and analyzed from the benchmark's relative layout,
   so the provenance paths are the benchmark's;
 * ``cpwloss mb`` JSON and CSV stdout on the theory_table grid;
-* ``calibrate_sweep_config()`` as sorted JSON.
+* ``calibrate_sweep_config()`` as sorted JSON;
+* ``cpwloss synth --kind sweep`` (each trace file and stdout) on
+  ``calibrate_sweep_config()``.
 
 The cpwloss package is the one on PYTHONPATH, so two checkouts are compared
 by running this script once with each checkout's src and diffing the
@@ -37,7 +39,9 @@ import gen  # noqa: E402
 from cpwloss import cli  # noqa: E402
 from cpwloss.pipeline.forward import calibrate_sweep_config  # noqa: E402
 
-OUTPUTS = ("sweep_ref", "sweep_long", "sweep_dense", "theory_table", "calibration")
+OUTPUTS = (
+    "sweep_ref", "sweep_long", "sweep_dense", "theory_table", "calibration", "synth_sweep"
+)
 SEED = 1  # the benchmark's input seed
 
 
@@ -62,6 +66,15 @@ def outputs(name: str, seed: int, work: Path):
         yield "calibration/config.json", json.dumps(doc, indent=2, sort_keys=True).encode()
         return
     where = work / name
+    if name == "synth_sweep":
+        where.mkdir(parents=True)
+        (where / "config.json").write_text(json.dumps(calibrate_sweep_config()))
+        argv = ["synth", "--kind", "sweep", "--config", "config.json", "--out", "traces"]
+        stdout = _run_cli(argv, where)
+        for path in sorted((where / "traces").iterdir()):
+            yield f"{name}/traces/{path.name}", path.read_bytes()
+        yield f"{name}/stdout", stdout
+        return
     gen.generate(name, seed, where)
     if name == "theory_table":
         for fmt in ("json", "csv"):

@@ -3,8 +3,10 @@
 
 Calibrates the forward model to the reference anchor points
 (Qi = 1e5 at 0.12 K, Qi = 7.421e3 at 2.9 K for a 5.95 GHz resonator on a
-10.7 K / 159.5 ohm-per-square film), generates a noisy 30-temperature
-sweep, runs the full analysis, and prints a compact summary table.
+10.7 K / 159.5 ohm-per-square film), writes a noisy 30-temperature sweep
+as trace files under ``<out>/traces``, analyzes those files as
+``cpwloss sweep`` does, prints a compact summary table and writes the
+report to ``<out>``.
 
 Usage:
     python scripts/run_reference_chain.py [--out DIR] [--seed N] [--noise S]
@@ -24,7 +26,7 @@ from cpwloss.pipeline.sweep import sweep_analyze
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=None, help="report directory")
+    parser.add_argument("--out", default=None, help="trace and report directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--noise", type=float, default=1e-3)
     args = parser.parse_args()
@@ -40,8 +42,8 @@ def main() -> int:
     print(f"kinetic-inductance fraction alpha = {doc['material']['alpha']:.4f}")
     print(f"TLS strength F*delta0 = {doc['tls']['f_delta0']:.4e}")
 
-    traces = synth_sweep(config)
-    report = sweep_analyze(traces, config)
+    out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="cpwloss_"))
+    report = sweep_analyze(synth_sweep(config, out_dir / "traces"), config)
 
     print(f"\n{'T (K)':>7} {'Qi_meas':>10} {'Qi_theory':>10} "
           f"{'df (kHz)':>10} {'nqp_th (um^-3)':>15}")
@@ -57,9 +59,8 @@ def main() -> int:
     print(f"\nred-shift onset: {report.derived['redshift_onset_k']} K")
     print(f"low-T density plateau: {report.derived['nqp_plateau_per_um3']} um^-3")
 
-    out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="cpwloss_"))
     written = emit_report(report, out_dir)
-    print(f"\nwrote {len(written)} report files to {out_dir}")
+    print(f"\nwrote {len(written)} report files to {out_dir}, traces under {out_dir / 'traces'}")
     return 0
 
 

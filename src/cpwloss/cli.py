@@ -94,12 +94,7 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
 
 def cmd_sweep(args) -> int:
     config = _require_config(args)
-    provenance = {
-        "tool": "cpwloss",
-        "tool_version": __version__,
-        "config_sha256": config.digest,
-    }
-    report = sweep_analyze(_collect_inputs(args.inputs), config, provenance=provenance)
+    report = sweep_analyze(_collect_inputs(args.inputs), config)
     out_dir = Path(args.out or ".")
     written = emit_report(report, out_dir)
     print(
@@ -136,21 +131,9 @@ def cmd_synth(args) -> int:
         config = _require_config(args)
         if args.seed is not None:
             config = replace(config, run=replace(config.run, seed=args.seed))
-        traces = synth_sweep(config)
-        named: dict[str, float] = {}
-        for trace in traces:
-            name = f"s21_T{trace.temperature_k:.4f}K.csv"
-            if name in named:
-                raise ConfigError(
-                    f"run.temperatures {named[name]} K and {trace.temperature_k} K "
-                    f"would both be written to {name}"
-                )
-            named[name] = trace.temperature_k
         out_dir = Path(args.out or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, trace in zip(named, traces):
-            write_s21_csv(out_dir / name, trace)
-        print(f"wrote {len(traces)} traces to {out_dir}")
+        paths = synth_sweep(config, out_dir)
+        print(f"wrote {len(paths)} traces to {out_dir}")
         return 0
     if args.config:
         raise InputError("--config is read only by --kind sweep")

@@ -141,7 +141,7 @@ def gap_at_temperature(
         raise ValueError("temperature must be >= 0")
     require_below_tc(t, tc_kelvin)
     if model == "constant":
-        gap = np.full(t.shape, delta0_ev)
+        gap = np.full(t.shape, delta0_ev)[()]  # a scalar for a scalar T, as tanh gives
     else:
         with np.errstate(divide="ignore"):
             gap = delta0_ev * np.tanh(1.74 * np.sqrt(tc_kelvin / t - 1.0))

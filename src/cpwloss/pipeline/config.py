@@ -69,10 +69,6 @@ class RunSettings:
     noise_sigma: float = 0.0
     npoints: int = 2001
     span_linewidths: float = 10.0
-    phi_rad: float = 0.0
-    amp: float = 1.0
-    phase0_rad: float = 0.0
-    tau_s: float = 0.0
     excess_loss: float = 0.0
 
     def __post_init__(self) -> None:

@@ -8,10 +8,10 @@ temperature; ``cpwloss mb`` prints it. ``theory_chain`` adds the line and
 TLS stages (geometric inductance -> quasiparticle loss -> TLS loss -> Qi)
 once over an array of temperatures; sweep analysis, ``loss_chain`` and the
 calibration build on it. All of them take the whole ``AnalysisConfig`` and
-read the sections they need from it. The module generates synthetic
-temperature sweeps (for the synth command and for end-to-end round-trip
-testing) and calibrates the model scale factors against a pair of
-(temperature, Qi) anchor points:
+read the sections they need from it. ``synth_sweep`` writes a synthetic
+sweep as one trace file per temperature, which ``sweep_analyze`` reads as
+it reads a measured one. The module also calibrates the model scale
+factors against a pair of (temperature, Qi) anchor points:
 
 * ``tls_f_delta0_for_q`` pins the TLS strength so Q_TLS(t) hits a target at
   a cold anchor where quasiparticle loss is negligible.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -42,8 +43,9 @@ from ..impedance import (
 )
 from ..lossmodel import q_tls, qi_theory
 from ..mbcore import mb_sigma_norm, require_below_tc
-from ..resfit import NotchParams, S21Trace, synth_trace
+from ..resfit import NotchParams, synth_trace
 from .config import AnalysisConfig, config_from_dict
+from .io import write_s21_csv
 
 
 @dataclass(frozen=True)
@@ -140,12 +142,16 @@ def loss_chain(config: AnalysisConfig) -> list[ChainPoint]:
     return [ChainPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
-def synth_sweep(config: AnalysisConfig) -> list[S21Trace]:
-    """Generate one synthetic trace per configured temperature.
+def synth_sweep(config: AnalysisConfig, out_dir: str | Path) -> list[Path]:
+    """Write one synthetic trace file per configured temperature, named
+    ``s21_T<T to 4 decimals>K.csv`` in ``out_dir``; returns the paths,
+    ascending in T. Two temperatures that give one name are a ConfigError,
+    raised before any file is written.
 
     Reads the forward-model inputs from the material/geometry/tls/fit
     sections and the synthesis knobs (grid, coupling, noise, seed) from the
-    run section. Per-trace noise streams are spawned deterministically from
+    run section. Each trace is a notch with phi = 0 on a flat, unit
+    baseline. Per-trace noise streams are spawned deterministically from
     the single run seed.
     """
     run = config.run
@@ -154,34 +160,30 @@ def synth_sweep(config: AnalysisConfig) -> list[S21Trace]:
             "synth sweep needs run.frequency_hz, run.temperatures and run.qc_mag"
         )
     points = loss_chain(config)
+    named: dict[str, float] = {}
+    for pt in points:
+        name = f"s21_T{pt.temperature_k:.4f}K.csv"
+        if name in named:
+            raise ConfigError(
+                f"run.temperatures {named[name]} K and {pt.temperature_k} K "
+                f"would both be written to {name}"
+            )
+        named[name] = pt.temperature_k
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / name for name in named]
     seeds = np.random.SeedSequence(run.seed).spawn(len(points))
-    traces: list[S21Trace] = []
-    for pt, seed in zip(points, seeds):
-        ql = 1.0 / (
-            1.0 / pt.qi_total + math.cos(run.phi_rad) / run.qc_mag
-        )
-        params = NotchParams(
-            fr_hz=pt.fr_hz,
-            ql=ql,
-            qc_mag=run.qc_mag,
-            phi_rad=run.phi_rad,
-            amp=run.amp,
-            phase0_rad=run.phase0_rad,
-            tau_s=run.tau_s,
-        )
+    for pt, seed, path in zip(points, seeds, paths):
+        ql = 1.0 / (1.0 / pt.qi_total + 1.0 / run.qc_mag)
+        params = NotchParams(fr_hz=pt.fr_hz, ql=ql, qc_mag=run.qc_mag, phi_rad=0.0)
         half_span = 0.5 * run.span_linewidths * pt.fr_hz / ql
         grid = np.linspace(pt.fr_hz - half_span, pt.fr_hz + half_span, run.npoints)
-        traces.append(
-            synth_trace(
-                params,
-                grid,
-                noise_sigma=run.noise_sigma,
-                seed=seed.generate_state(1)[0],
-                temperature_k=pt.temperature_k,
-                power_dbm=None,
-            )
+        trace = synth_trace(
+            params, grid, noise_sigma=run.noise_sigma,
+            seed=seed.generate_state(1)[0], temperature_k=pt.temperature_k,
         )
-    return traces
+        write_s21_csv(path, trace)
+    return paths
 
 
 def tls_f_delta0_for_q(

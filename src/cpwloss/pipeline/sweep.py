@@ -1,20 +1,20 @@
-"""Temperature-sweep orchestration: read and fit each input, build loss budgets.
+"""Temperature-sweep orchestration: read and fit each file, build loss budgets.
 
-``sweep_analyze`` takes the inputs, trace files or ``S21Trace`` records, and
-the one ``AnalysisConfig``. It makes one pass per input, as one map: read
-the file's bytes, take their sha256, parse the trace (a given trace skips
-these steps) and fit it, unless the trace is untagged or tagged at or below
-0 K or at or above Tc. Inputs are independent (no shared mutable state), so
-the map runs on a forked worker pool when the files are large enough to
-pay for one (see :mod:`.parallel`). The set-aside traces become failure
-entries, and the checks that the rest make one sweep come after the map.
-Results are merged in ascending temperature order, and a fit's bits do not
-depend on the process it ran in, so the report is the same from the pool
-and from one process. After the fits, the theory chain, the loss budget
-and the excess loss are each one array call over the fitted temperatures;
-no step loops over temperatures. The results stay arrays over those
-temperatures in the ``AnalysisReport``; the report writer is the one place
-that turns them into per-temperature rows.
+``sweep_analyze`` takes the sweep's trace files (a synthetic sweep is
+written to files first, by ``forward.synth_sweep``) and the one
+``AnalysisConfig``. It makes one pass per file, as one map: read the bytes,
+take their sha256, parse the trace and fit it, unless the trace is untagged
+or tagged at or below 0 K or at or above Tc. Files are independent (no
+shared mutable state), so the map runs on a forked worker pool when they
+are large enough to pay for one (see :mod:`.parallel`). The set-aside
+traces become failure entries, and the checks that the rest make one sweep
+come after the map. Results are merged in ascending temperature order, and
+a fit's bits do not depend on the process it ran in, so the report is the
+same from the pool and from one process. After the fits, the theory chain,
+the loss budget and the excess loss are each one array call over the fitted
+temperatures; no step loops over temperatures. The results stay arrays over
+those temperatures in the ``AnalysisReport``; the report writer is the one
+place that turns them into per-temperature rows.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import __version__
 from ..constants import angular_frequency
 from ..errors import FitError, InputError
 from ..lossmodel import excess_qp_loss, make_budget
@@ -38,7 +39,7 @@ from .parallel import ordered_map
 
 @dataclass(frozen=True)
 class FailureEntry:
-    source: str | None
+    source: str
     temperature_k: float | None
     error: str
 
@@ -123,62 +124,53 @@ def _redshift_onset(temps, shifts, fr_stderr, ref_stderr) -> tuple[float | None,
     return None, floor
 
 
-def _read_and_fit(item: S21Trace | Path, tc: float):
-    """One sweep input: its trace, the sha256 of the file it was read from
-    (None for an ``S21Trace`` item, which is not read), and its fit, a
+def _read_and_fit(path: str | Path, tc: float):
+    """One sweep file: its trace, the sha256 of its bytes, and its fit, a
     ``FitError``, or None when the trace is set aside: untagged, or tagged
     outside (0, Tc)."""
-    digest = None
-    if not isinstance(item, S21Trace):
-        data = read_bytes(item)
-        digest = hashlib.sha256(data).hexdigest()
-        item = ingest_s21(item, data=data)
-    t = item.temperature_k
+    data = read_bytes(path)
+    digest = hashlib.sha256(data).hexdigest()
+    trace = ingest_s21(path, data=data)
+    t = trace.temperature_k
     if t is None or not 0.0 < t < tc:
-        return item, digest, None
+        return trace, digest, None
     try:
-        return item, digest, fit_notch(item)
+        return trace, digest, fit_notch(trace)
     except FitError as exc:
-        return item, digest, exc
+        return trace, digest, exc
 
 
-def _work_bytes(item: S21Trace | Path) -> int:
-    """The input bytes of one sweep input, as the pool's size rule weighs them."""
-    if isinstance(item, S21Trace):
-        return item.freq_hz.nbytes + item.s21.nbytes
-    return Path(item).stat().st_size
+def sweep_analyze(paths: list[str | Path], config: AnalysisConfig) -> AnalysisReport:
+    """Read and fit every trace file and decompose the loss budget per temperature.
 
-
-def sweep_analyze(
-    inputs: list[S21Trace | Path], config: AnalysisConfig, provenance: dict | None = None
-) -> AnalysisReport:
-    """Read and fit every input and decompose the loss budget per temperature.
-
-    An input is a trace file, read by its suffix (``io.ingest_s21``), or an
-    ``S21Trace``. Each input is read, hashed and fitted in one step of one
-    map, on the worker pool when the inputs are large enough. The report's
-    provenance gets an ``inputs`` list with the path and the sha256 of each
-    file, in input order. Traces at or below 0 K, at or above the film's Tc
-    and untagged ones are set aside unfitted; they and the unfittable
-    traces degrade to failure entries, and the analysis fails only when no
-    trace fits. The material, geometry and tls sections of ``config`` are
-    required. The reference trace is the coldest successful one, or, with
-    ``fit.t_ref_kelvin`` set, the successful trace nearest that
-    temperature. The theory chain (conductivity, surface impedance, TLS)
-    is evaluated at the reference trace's fitted resonance frequency, once
-    over all fitted temperatures, and ``delta_f_hz`` is measured from it.
+    Each file is read by its suffix (``io.ingest_s21``), hashed and fitted
+    in one step of one map, on the worker pool when the files are large
+    enough. The report's provenance names the tool, its version and the
+    config digest, and lists each file's path and sha256 in input order.
+    Traces at or below 0 K, at or above the
+    film's Tc and untagged ones are set aside unfitted; they and the
+    unfittable traces degrade to failure entries, and the analysis fails
+    only when no trace fits. The material, geometry and tls sections of
+    ``config`` are required. The reference trace is the coldest successful
+    one, or, with ``fit.t_ref_kelvin`` set, the successful trace nearest
+    that temperature. The theory chain (conductivity, surface impedance,
+    TLS) is evaluated at the reference trace's fitted resonance frequency,
+    once over all fitted temperatures, and ``delta_f_hz`` is measured from
+    it.
     """
     config.require("material", "geometry", "tls")
     tc = config.material.tc_kelvin
-    sizes = [_work_bytes(item) for item in inputs]
-    results = ordered_map(partial(_read_and_fit, tc=tc), inputs, sizes)
-    files = [
-        {"path": str(item), "sha256": digest}
-        for item, (_, digest, _) in zip(inputs, results)
-        if digest is not None
-    ]
-    if files:
-        provenance = {**(provenance or {}), "inputs": files}
+    sizes = [Path(path).stat().st_size for path in paths]
+    results = ordered_map(partial(_read_and_fit, tc=tc), paths, sizes)
+    provenance = {
+        "tool": "cpwloss",
+        "tool_version": __version__,
+        "config_sha256": config.digest,
+        "inputs": [
+            {"path": str(path), "sha256": digest}
+            for path, (_, digest, _) in zip(paths, results)
+        ],
+    }
     kept, set_aside = _partition([(tr, fit) for tr, _, fit in results], tc)
     fits = [(trace, r) for trace, r in kept if not isinstance(r, FitError)]
     failures = [
@@ -236,5 +228,5 @@ def sweep_analyze(
         film=chain.film,
         failures=failures,
         derived=derived,
-        provenance=provenance or {},
+        provenance=provenance,
     )

@@ -17,7 +17,6 @@ from cpwloss.lossmodel import nqp_from_loss
 from cpwloss.pipeline.config import config_from_dict
 from cpwloss.pipeline.dc import extract_tc_rrr
 from cpwloss.pipeline.forward import calibrate_sweep_config, loss_chain, synth_sweep
-from cpwloss.pipeline.io import write_s21_csv
 from cpwloss.pipeline.sweep import sweep_analyze
 from cpwloss.pipeline.xrd import lattice_constant
 
@@ -53,9 +52,7 @@ def sweep_artifacts(tmp_path_factory):
     cfg_path.write_text(json.dumps(doc, indent=2))
     config = config_from_dict(doc)
     traces_dir = root / "traces"
-    traces_dir.mkdir()
-    for tr in synth_sweep(config):
-        write_s21_csv(traces_dir / f"s21_T{tr.temperature_k:.4f}K.csv", tr)
+    synth_sweep(config, traces_dir)
     injected = loss_chain(config)
     return root, cfg_path, traces_dir, doc, injected
 
@@ -158,7 +155,7 @@ def test_criterion_05_end_to_end_sweep_round_trip(sweep_artifacts, tmp_path, cap
         assert onset is not None and 1.5 <= onset <= 2.0
 
 
-def test_criterion_06_quasiparticle_density_chain(sweep_artifacts):
+def test_criterion_06_quasiparticle_density_chain(sweep_artifacts, tmp_path):
     with criterion(6, "quasiparticle-density chain"):
         root, _, _, doc, _ = sweep_artifacts
         config = config_from_dict(doc)
@@ -170,8 +167,7 @@ def test_criterion_06_quasiparticle_density_chain(sweep_artifacts):
         doc_excess = dict(doc)
         doc_excess["run"] = dict(doc["run"], excess_loss=excess, seed=13)
         config_x = config_from_dict(doc_excess)
-        traces = synth_sweep(config_x)
-        report = sweep_analyze(traces, config_x)
+        report = sweep_analyze(synth_sweep(config_x, tmp_path), config_x)
 
         # two-path identity: the density conversion applied to the
         # theoretical loss must reproduce the stored theory density exactly

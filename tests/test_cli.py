@@ -15,11 +15,13 @@ import pytest
 
 from cpwloss import cli
 from cpwloss.constants import angular_frequency
-from cpwloss.pipeline.config import config_from_dict
+from cpwloss.pipeline.config import config_from_dict, load_config
 from cpwloss.pipeline.forward import (
     calibrate_sweep_config, film_response, synth_sweep, theory_chain,
 )
 from cpwloss.pipeline.io import ingest_s21, write_s21_csv
+from cpwloss.pipeline.report import emit_report
+from cpwloss.pipeline.sweep import sweep_analyze
 from cpwloss.resfit import NotchParams, synth_trace
 from conftest import default_grid
 
@@ -36,9 +38,7 @@ def sweep_setup(tmp_path_factory):
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(doc, indent=2))
     traces_dir = root / "traces"
-    traces_dir.mkdir()
-    for tr in synth_sweep(config_from_dict(doc)):
-        write_s21_csv(traces_dir / f"s21_T{tr.temperature_k:.4f}K.csv", tr)
+    synth_sweep(config_from_dict(doc), traces_dir)
     return cfg_path, traces_dir
 
 
@@ -467,6 +467,27 @@ class TestSweepCommand:
         assert doc["provenance"]["config_sha256"]
         for i in doc["provenance"]["inputs"]:
             assert i["sha256"] == hashlib.sha256(Path(i["path"]).read_bytes()).hexdigest()
+
+    def test_api_writes_the_cli_report(self, capsys, tmp_path, sweep_setup):
+        # one set of files: emit_report(sweep_analyze(...)) and `cpwloss
+        # sweep` write the same bytes, provenance included
+        cfg_path, traces_dir = sweep_setup
+        paths = sorted(traces_dir.glob("*.csv"))
+        api, by_cli = tmp_path / "api", tmp_path / "cli"
+        written = emit_report(sweep_analyze(paths, load_config(cfg_path)), api)
+        rc, _, err = run_cli(
+            capsys, "sweep", *map(str, paths), "--config", str(cfg_path),
+            "--out", str(by_cli),
+        )
+        assert rc == 0, err
+        assert sorted(p.name for p in by_cli.iterdir()) == sorted(p.name for p in written)
+        for path in written:
+            assert (by_cli / path.name).read_bytes() == path.read_bytes(), path.name
+        provenance = json.loads((api / "report.json").read_text())["provenance"]
+        assert list(provenance) == [
+            "tool", "tool_version", "config_sha256", "inputs", "csv_schemas"
+        ]
+        assert [i["path"] for i in provenance["inputs"]] == list(map(str, paths))
 
     def test_each_input_is_read_once(self, capsys, monkeypatch, tmp_path, sweep_setup):
         # the provenance hash comes from the bytes the trace was parsed from

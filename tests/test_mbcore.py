@@ -60,6 +60,14 @@ class TestGap:
         assert arr.tolist() == scalars
         assert arr[0] == DELTA0
 
+    @pytest.mark.parametrize("model", ["bcs_tanh", "constant"])
+    def test_gap_models_return_one_type(self, model):
+        # a numpy float for one temperature, an array for an array of them
+        for t in (1.0, np.float64(1.0), np.array(1.0)):
+            assert type(mbcore.gap_at_temperature(DELTA0, t, 10.7, model)) is np.float64
+        many = mbcore.gap_at_temperature(DELTA0, [0.5, 1.0], 10.7, model)
+        assert type(many) is np.ndarray and many.shape == (2,)
+
     def test_gap_one_bad_element_raises(self):
         with pytest.raises(ValueError, match=">= 0"):
             mbcore.gap_at_temperature(DELTA0, [0.5, -0.1, 1.0], 10.7)

@@ -37,15 +37,13 @@ def sweep_dir(tmp_path_factory):
     )
     (root / "config.json").write_text(json.dumps(doc, indent=2))
     traces = root / "traces"
-    traces.mkdir()
-    for tr in synth_sweep(config_from_dict(doc)):
-        write_s21_csv(traces / f"s21_T{tr.temperature_k:.4f}K.csv", tr)
+    synth_sweep(config_from_dict(doc), traces)
     rng = np.random.default_rng(7)
     f = np.linspace(5.9e9, 6.0e9, 301)
     for t in (0.5, 1.5):
         noise = rng.standard_normal(301) + 1j * rng.standard_normal(301)
         flat = S21Trace(f, 0.9 + 1e-4 * noise, temperature_k=t)
-        write_s21_csv(traces / f"s21_T{t:.4f}K.csv", flat)
+        write_s21_csv(traces / f"flat_T{t}K.csv", flat)
     return root
 
 

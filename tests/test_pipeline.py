@@ -469,6 +469,10 @@ class TestConfig:
             ("geometry", "length_m"),
             ("fit", "redshift_nsigma"),
             ("fit", "redshift_rel_floor"),
+            ("run", "phi_rad"),
+            ("run", "amp"),
+            ("run", "phase0_rad"),
+            ("run", "tau_s"),
         ]:
             doc = self.good_doc()
             doc[section][key] = 0.5

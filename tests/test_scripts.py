@@ -25,15 +25,20 @@ def test_output_digests_writes_each_output(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     script = runpy.run_path(str(SCRIPTS / "output_digests.py"))
     labels = []
-    for name in ("sweep_ref", "theory_table", "calibration"):
+    for name in ("sweep_ref", "theory_table", "calibration", "synth_sweep"):
         for label, data in script["outputs"](name, script["SEED"], tmp_path):
             assert data, label
             labels.append(label)
+    labels, synth = labels[:9], labels[9:]
     assert labels == [
         "sweep_ref/df_vs_T.csv", "sweep_ref/nqp_vs_T.csv", "sweep_ref/qi_vs_T.csv",
         "sweep_ref/report.json", "sweep_ref/sigma_vs_T.csv", "sweep_ref/stdout",
         "theory_table/mb.json", "theory_table/mb.csv", "calibration/config.json",
     ]
+    # the 30 trace files of calibrate_sweep_config(), then stdout
+    files = sorted(tmp_path.joinpath("synth_sweep", "traces").iterdir())
+    assert len(files) == 30
+    assert synth == [f"synth_sweep/traces/{p.name}" for p in files] + ["synth_sweep/stdout"]
 
 
 def test_bench_pairs_summary_on_fixed_runs():

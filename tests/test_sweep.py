@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import statistics
 from dataclasses import replace
 from pathlib import Path
@@ -26,6 +27,7 @@ from cpwloss.pipeline.forward import (
     theory_chain,
     tls_f_delta0_for_q,
 )
+from cpwloss.pipeline.io import ingest_s21, write_s21_csv
 from cpwloss.pipeline.report import emit_report, report_to_dict, table_text, to_json
 from cpwloss.pipeline.sweep import sweep_analyze
 from cpwloss.resfit import S21Trace
@@ -44,11 +46,19 @@ def calibrated_doc():
 
 
 @pytest.fixture(scope="module")
-def analyzed(calibrated_doc):
+def analyzed(calibrated_doc, tmp_path_factory):
     config = config_from_dict(calibrated_doc)
-    traces = synth_sweep(config)
-    report = sweep_analyze(traces, config, provenance={"config_sha256": config.digest})
-    return config, traces, report
+    paths = synth_sweep(config, tmp_path_factory.mktemp("sweep"))
+    return config, paths, sweep_analyze(paths, config)
+
+
+def write_traces(traces: list[S21Trace], out_dir: Path) -> list[Path]:
+    """Each trace written to ``out_dir/trace<i>.csv``, in list order."""
+    out_dir.mkdir(exist_ok=True)
+    paths = [out_dir / f"trace{i}.csv" for i in range(len(traces))]
+    for path, trace in zip(paths, traces):
+        write_s21_csv(path, trace)
+    return paths
 
 
 class TestForwardModel:
@@ -140,12 +150,19 @@ class TestForwardModel:
                 assert abs(pt.fr_hz - fr) <= 4 * np.spacing(fr), (name, t)
                 assert abs(pt.qi_total - qi_total) <= 4 * np.spacing(qi_total), (name, t)
 
-    def test_synth_sweep_determinism(self, calibrated_doc):
+    def test_synth_sweep_determinism(self, calibrated_doc, tmp_path):
         config = config_from_dict(calibrated_doc)
-        a = synth_sweep(config)
-        b = synth_sweep(config)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.s21, tb.s21)
+        a = synth_sweep(config, tmp_path / "a")
+        b = synth_sweep(config, tmp_path / "b")
+        assert [p.name for p in a] == [p.name for p in b]
+        for pa, pb in zip(a, b):
+            assert pa.read_bytes() == pb.read_bytes()
+
+    def test_synth_sweep_paths_ascend_in_temperature(self, calibrated_doc, tmp_path):
+        doc = dict(calibrated_doc, run=dict(calibrated_doc["run"], temperatures=[1.0, 0.12, 0.5]))
+        paths = synth_sweep(config_from_dict(doc), tmp_path)
+        assert [ingest_s21(p).temperature_k for p in paths] == [0.12, 0.5, 1.0]
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
 
 
 class TestSweepAnalyze:
@@ -167,10 +184,10 @@ class TestSweepAnalyze:
         assert report.budget["qi_theory"].tolist() == chain.qi_theory.tolist()
 
     def test_reference_is_fitted_trace_nearest_t_ref(self, analyzed, calibrated_doc):
-        _, traces, _ = analyzed
+        _, paths, _ = analyzed
         doc = dict(calibrated_doc, fit=dict(calibrated_doc["fit"], t_ref_kelvin=1.0))
         config = config_from_dict(doc)
-        report = sweep_analyze(traces, config)
+        report = sweep_analyze(paths, config)
         temps = [trace.temperature_k for trace, _ in report.fits]
         nearest = min(temps, key=lambda t: abs(t - 1.0))
         assert nearest != temps[0]
@@ -193,21 +210,23 @@ class TestSweepAnalyze:
             assert nqp == recomputed
 
     def test_order_independence(self, analyzed):
-        config, traces, report = analyzed
-        shuffled = [traces[i] for i in np.random.default_rng(0).permutation(len(traces))]
-        report2 = sweep_analyze(
-            shuffled, config, provenance={"config_sha256": config.digest}
-        )
-        assert report_to_dict(report2) == report_to_dict(report)
+        # only the provenance's input list follows the input order
+        config, paths, report = analyzed
+        order = np.random.default_rng(0).permutation(len(paths))
+        doc = report_to_dict(report)
+        doc2 = report_to_dict(sweep_analyze([paths[i] for i in order], config))
+        inputs = doc["provenance"].pop("inputs")
+        assert doc2["provenance"].pop("inputs") == [inputs[i] for i in order]
+        assert doc2 == doc
 
-    def test_no_onset_below_the_noise(self, calibrated_doc):
+    def test_no_onset_below_the_noise(self, calibrated_doc, tmp_path):
         # cold traces red-shift by a few Hz, inside 3 stderr(fr): no onset,
         # and the threshold is the relative floor
         doc = dict(calibrated_doc, run=dict(
             calibrated_doc["run"], temperatures=[0.12, 0.2, 0.3, 0.4], noise_sigma=5e-3
         ))
         config = config_from_dict(doc)
-        report = sweep_analyze(synth_sweep(config), config)
+        report = sweep_analyze(synth_sweep(config, tmp_path), config)
         max_red = -report.delta_f_hz.min()
         assert max_red > 0
         assert report.derived["redshift_onset_k"] is None
@@ -223,7 +242,8 @@ class TestSweepAnalyze:
             calibrated_doc["run"], temperatures=[round(t, 4) for t in temps], seed=14
         ))
         config = config_from_dict(doc)
-        emit_report(sweep_analyze(synth_sweep(config), config), tmp_path)
+        paths = synth_sweep(config, tmp_path / "traces")
+        emit_report(sweep_analyze(paths, config), tmp_path)
         report = json.loads((tmp_path / "report.json").read_text())
         entries = report["per_temperature"]
         t = [e["temperature_k"] for e in entries]
@@ -260,7 +280,7 @@ class TestSweepAnalyze:
         assert want["nqp_plateau_points"] > 0 and want["redshift_onset_k"] is not None
         assert want["redshift_threshold_hz"] > floor
 
-    def test_noise_alone_sets_no_redshift_onset(self):
+    def test_noise_alone_sets_no_redshift_onset(self, tmp_path):
         # fr moves by tens of Hz only above 1 K here; with the reference
         # trace's own fr error left out of the threshold, this seed's noise
         # set an onset at 0.2457 K
@@ -269,7 +289,7 @@ class TestSweepAnalyze:
             temperatures=temps, noise_sigma=5e-4, npoints=501, seed=13
         )
         config = config_from_dict(doc)
-        report = sweep_analyze(synth_sweep(config), config)
+        report = sweep_analyze(synth_sweep(config, tmp_path), config)
         onset = report.derived["redshift_onset_k"]
         assert onset is None or onset >= 1.0
         if onset is not None:
@@ -278,61 +298,56 @@ class TestSweepAnalyze:
             want = 3.0 * math.hypot(errs[i], errs[0])
             assert report.derived["redshift_threshold_hz"] == pytest.approx(want, rel=1e-12)
 
-    def test_corrupt_trace_degrades_gracefully(self, analyzed):
-        config, traces, _ = analyzed
+    def test_corrupt_trace_degrades_gracefully(self, analyzed, tmp_path):
+        config, paths, _ = analyzed
         rng = np.random.default_rng(4)
         f = np.linspace(5.8e9, 5.9e9, 256)
         junk = S21Trace(
             f,
             0.9 + 1e-4 * (rng.standard_normal(256) + 1j * rng.standard_normal(256)),
             temperature_k=0.77,
-            source="junk",
         )
-        report = sweep_analyze(traces + [junk], config)
+        [junk_path] = write_traces([junk], tmp_path)
+        report = sweep_analyze(paths + [junk_path], config)
         assert len(report.failures) == 1
-        assert report.failures[0].source == "junk"
-        assert len(report.fits) == len(traces)
+        assert report.failures[0].source == str(junk_path)
+        assert len(report.fits) == len(paths)
 
-    def test_all_failed_is_error(self, analyzed):
+    def test_all_failed_is_error(self, analyzed, tmp_path):
         config, _, _ = analyzed
         f = np.linspace(5.8e9, 5.9e9, 64)
         flats = [
             S21Trace(f, np.full(64, 0.9 + 0j), temperature_k=t) for t in (0.2, 0.4)
         ]
         with pytest.raises(FitError):
-            sweep_analyze(flats, config)
+            sweep_analyze(write_traces(flats, tmp_path), config)
 
-    def test_power_mismatch_rejected(self, analyzed):
-        config, traces, _ = analyzed
-        import copy
-
-        bad = copy.deepcopy(traces)
+    def test_power_mismatch_rejected(self, analyzed, tmp_path):
+        config, paths, _ = analyzed
+        bad = [ingest_s21(p) for p in paths]
         bad[0].power_dbm = -130.0
         bad[1].power_dbm = -120.0
         with pytest.raises(InputError, match="power"):
-            sweep_analyze(bad, config)
+            sweep_analyze(write_traces(bad, tmp_path), config)
 
-    def test_duplicate_temperature_rejected(self, analyzed):
-        config, traces, _ = analyzed
-        import copy
-
-        dup = copy.deepcopy(traces[:3])
+    def test_duplicate_temperature_rejected(self, analyzed, tmp_path):
+        config, paths, _ = analyzed
+        dup = [ingest_s21(p) for p in paths[:3]]
         dup[1].temperature_k = dup[0].temperature_k
-        with pytest.raises(InputError, match="distinct"):
-            sweep_analyze(dup, config)
-        dup[0].source, dup[1].source = "a.csv", "b.csv"
-        clash = rf"a\.csv and b\.csv are both at {dup[0].temperature_k} K"
-        with pytest.raises(InputError, match=clash):
-            sweep_analyze(dup, config)
+        written = write_traces(dup, tmp_path)
+        clash = (
+            f"{re.escape(str(written[0]))} and {re.escape(str(written[1]))} "
+            f"are both at {dup[0].temperature_k} K"
+        )
+        with pytest.raises(InputError, match="distinct: " + clash):
+            sweep_analyze(written, config)
 
-    def test_only_traces_below_tc_count_toward_two(self, analyzed):
-        config, traces, _ = analyzed
-        import copy
-
-        pair = copy.deepcopy(traces[:2])
+    def test_only_traces_below_tc_count_toward_two(self, analyzed, tmp_path):
+        config, paths, _ = analyzed
+        pair = [ingest_s21(p) for p in paths[:2]]
         pair[1].temperature_k = config.material.tc_kelvin
         with pytest.raises(InputError, match="at least 2"):
-            sweep_analyze(pair, config)
+            sweep_analyze(write_traces(pair, tmp_path), config)
 
 
 class TestEmitReport:
