@@ -48,12 +48,12 @@ def main() -> int:
     print(f"\n{'T (K)':>7} {'Qi_meas':>10} {'Qi_theory':>10} "
           f"{'df (kHz)':>10} {'nqp_th (um^-3)':>15}")
     budget = report.budget
-    for (trace, _), qi_meas, qi_th, df, nqp_th in zip(
+    for (tags, _), qi_meas, qi_th, df, nqp_th in zip(
         report.fits, budget["qi_measured"], budget["qi_theory"], report.delta_f_hz,
         budget["nqp_theory_per_um3"],
     ):
         print(
-            f"{trace.temperature_k:7.3f} {qi_meas:10.0f} "
+            f"{tags.temperature_k:7.3f} {qi_meas:10.0f} "
             f"{qi_th:10.0f} {df / 1e3:10.1f} {nqp_th:15.4g}"
         )
     print(f"\nred-shift onset: {report.derived['redshift_onset_k']} K")

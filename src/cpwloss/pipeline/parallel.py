@@ -1,34 +1,26 @@
-"""Order-preserving map over independent work items on a forked process pool.
+"""Order-preserving map over independent work items on forked worker processes.
 
-:func:`ordered_map` runs ``fn`` over ``items`` on as many worker processes
-as the CPUs this process may run on, the number of items and the size rule
-allow, and returns the results in input order. Below two workers it is the
-builtin ``map`` in this process. The workers are forked, so they inherit
-the loaded modules, ``fn`` and ``items``; only item indices go to them and
-only results come back. They take the items largest first, by the input
-bytes the caller gives for each, so the map does not end waiting on a large
-item taken last. ``cpwloss sweep`` makes one map per run, over its trace
-files (see :mod:`.sweep`). Forking is safe while no other thread runs in the
-calling process, as in the CLI: the workers are all forked before the pool
-starts its own threads, and those have ended when ``ordered_map`` returns.
-
-A worker catches the warnings each item raises and the parent replays them
-in item order; the first exception in item order is raised again in the
-parent, so a pooled run warns and fails as the serial one does.
+:func:`ordered_map` runs ``fn`` over ``items`` on as many workers as the
+usable CPUs, the items and the size rule allow, and returns the results in
+input order; below two workers it is the builtin ``map`` in this process.
+The items are dealt out before any fork, largest first, each to the worker
+with the fewest bytes so far. Each worker, an ``os.fork`` of the caller,
+pickles its results down its own pipe and leaves through ``os._exit``. The
+parent starts no thread: it reads each pipe to its end and reaps each
+worker, then replays the warnings and raises the first exception in item
+order, as a serial run would. A dead worker, or one that cannot pickle its
+results, fails the map with ``ChildProcessError`` (an ``OSError``: exit 1).
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import warnings
 
-# the least input, in bytes, that one worker process is started for: below
-# twice this a map stays in this process. On a 2-CPU host two workers broke
-# even at about 1 MiB each of trace files to read and 0.4 MiB of arrays to
-# fit; this keeps a factor of two or more above both.
+# the input bytes per worker process: below twice this a map stays in this
+# process. Two workers broke even at about 0.65 MiB each (2 CPUs, end to end).
 MIN_BYTES_PER_WORKER = 2 << 20
-
-_job = None  # a worker's (fn, items), set when the worker starts
 
 
 def worker_count(n_items: int, work_bytes: int) -> int:
@@ -41,18 +33,12 @@ def worker_count(n_items: int, work_bytes: int) -> int:
     return min(cpus, n_items, work_bytes // MIN_BYTES_PER_WORKER)
 
 
-def _start_worker(fn, items) -> None:
-    global _job
-    _job = (fn, items)
-
-
-def _run(i: int):
-    """Item ``i`` of the running job: (result, exception, warnings)."""
-    fn, items = _job
+def _run(fn, item):
+    """``fn(item)`` as (result, exception, warnings)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out, err = fn(items[i]), None
+            out, err = fn(item), None
         except Exception as exc:  # noqa: BLE001 - raised again in the parent
             out, err = None, exc
     return out, err, [(w.message, w.category, w.filename, w.lineno) for w in caught]
@@ -61,36 +47,49 @@ def _run(i: int):
 def ordered_map(fn, items, sizes: list[int]) -> list:
     """``list(map(fn, items))``, on worker processes when the work is large.
 
-    Args:
-        fn: a function of one item. On the pool it runs in a forked copy
-            of this process, so anything it changes besides its result is
-            lost.
-        items: a sequence of independent work items.
-        sizes: the input bytes each item stands for. Their sum is what the
-            size rule of :func:`worker_count` weighs; the pool takes the
-            items largest first, so the last ones to finish are small.
-    """
+    ``fn`` runs in a forked copy of this process, so what it changes besides
+    its result is lost; forking is safe only while no other thread runs, as
+    in the CLI. ``sizes`` are the items' input bytes: the size rule weighs
+    their sum, and the items are dealt to the workers by them."""
     n = worker_count(len(items), sum(sizes))
     if n < 2:
         return list(map(fn, items))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # the executor, unlike multiprocessing.Pool, fails instead of hanging
-    # when a worker dies; fork passes the initializer's arguments unpickled
-    fork = multiprocessing.get_context("fork")
-    chunk = -(-len(items) // (4 * n))
-    order = sorted(range(len(items)), key=lambda i: -sizes[i])
-    with ProcessPoolExecutor(
-        n, mp_context=fork, initializer=_start_worker, initargs=(fn, items)
-    ) as pool:
-        done = dict(zip(order, pool.map(_run, order, chunksize=chunk)))
-    results = []
+    shares, loads = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(items)), key=lambda i: -sizes[i]):
+        k = min(range(n), key=lambda k: (loads[k], len(shares[k])))
+        shares[k].append(i)
+        loads[k] += sizes[i]
+    workers = []
+    try:
+        for share in shares:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns; a failure leaves its pipe empty
+                status = 1
+                try:
+                    data = pickle.dumps({i: _run(fn, items[i]) for i in share})
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            workers.append((pid, r))
+    finally:  # every worker forked is read to the end and reaped, even if a fork fails
+        reads = []
+        for pid, r in workers:
+            with open(r, "rb") as pipe:
+                reads.append((pipe.read(), os.waitpid(pid, 0)[1]))
+    done = {}
+    try:  # a worker that exited non-zero counts as one that sent nothing
+        for data, status in reads:
+            done.update(pickle.loads(b"" if status else data))
+    except Exception:  # noqa: BLE001 - an empty or cut-off pipe
+        raise ChildProcessError("a worker process died before returning its results") from None
     for i in range(len(items)):
-        out, err, caught = done[i]
+        _, err, caught = done[i]
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
         if err is not None:
             raise err
-        results.append(out)
-    return results
+    return [done[i][0] for i in range(len(items))]

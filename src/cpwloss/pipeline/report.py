@@ -164,8 +164,8 @@ def _per_temperature(report: AnalysisReport) -> list[dict]:
     """The per_temperature entries of report.json, one per fitted trace."""
     film = report.film
     return _rows({
-        "temperature_k": [trace.temperature_k for trace, _ in report.fits],
-        "source": [trace.source for trace, _ in report.fits],
+        "temperature_k": [tags.temperature_k for tags, _ in report.fits],
+        "source": [tags.source for tags, _ in report.fits],
         "fit": [fit_record(fit) for _, fit in report.fits],
         "delta_f_hz": report.delta_f_hz,
         "budget": _rows(report.budget),

@@ -4,17 +4,17 @@
 written to files first, by ``forward.synth_sweep``) and the one
 ``AnalysisConfig``. It makes one pass per file, as one map: read the bytes,
 take their sha256, parse the trace and fit it, unless the trace is untagged
-or tagged at or below 0 K or at or above Tc. Files are independent (no
-shared mutable state), so the map runs on a forked worker pool when they
-are large enough to pay for one (see :mod:`.parallel`). The set-aside
-traces become failure entries, and the checks that the rest make one sweep
-come after the map. Results are merged in ascending temperature order, and
-a fit's bits do not depend on the process it ran in, so the report is the
-same from the pool and from one process. After the fits, the theory chain,
-the loss budget and the excess loss are each one array call over the fitted
-temperatures; no step loops over temperatures. The results stay arrays over
-those temperatures in the ``AnalysisReport``; the report writer is the one
-place that turns them into per-temperature rows.
+or tagged at or below 0 K or at or above Tc. Files are independent, so the
+map runs on forked worker processes when they are large enough to pay for
+them (see :mod:`.parallel`); a worker sends back each trace's tags, digest
+and fit, never its arrays. The set-aside traces become failure entries, and
+the checks that the rest make one sweep come after the map. Results are
+merged in ascending temperature order, and a fit's bits do not depend on
+the process it ran in, so the report is the same either way. After the
+fits, the theory chain, the loss budget and the excess loss are each one
+array call over the fitted temperatures; no step loops over temperatures.
+The results stay arrays over those temperatures in the ``AnalysisReport``;
+the report writer alone turns them into per-temperature rows.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +31,19 @@ from .. import __version__
 from ..constants import angular_frequency
 from ..errors import FitError, InputError
 from ..lossmodel import excess_qp_loss, make_budget
-from ..resfit import NotchFitResult, S21Trace, fit_notch, median
+from ..resfit import NotchFitResult, fit_notch, median
 from .config import AnalysisConfig
 from .forward import FilmResponse, theory_chain
 from .io import ingest_s21, read_bytes
 from .parallel import ordered_map
+
+
+class TraceTags(NamedTuple):
+    """What a sweep keeps of a trace file besides its fit."""
+
+    source: str
+    temperature_k: float | None
+    power_dbm: float | None
 
 
 @dataclass(frozen=True)
@@ -46,10 +55,10 @@ class FailureEntry:
 
 @dataclass
 class AnalysisReport:
-    """A sweep's results: the fitted (trace, fit) pairs, ascending in T, and
+    """A sweep's results: the fitted (tags, fit) pairs, ascending in T, and
     one array element per pair in every array and in the film response."""
 
-    fits: list[tuple[S21Trace, NotchFitResult]]
+    fits: list[tuple[TraceTags, NotchFitResult]]
     delta_f_hz: np.ndarray
     budget: dict[str, np.ndarray]
     delta_qp_theory: np.ndarray
@@ -62,16 +71,16 @@ class AnalysisReport:
 
 
 def _partition(
-    results: list[tuple[S21Trace, NotchFitResult | FitError | None]], tc: float
-) -> tuple[list[tuple[S21Trace, NotchFitResult | FitError]], list[FailureEntry]]:
-    """The (trace, fit) pairs to use, ascending in T, and the failures of the
-    traces set aside (T <= 0 K, then T >= Tc, ascending; then untagged);
-    InputError when the pairs to use are not one sweep."""
+    results: list[tuple[TraceTags, NotchFitResult | FitError | None]], tc: float
+) -> tuple[list[tuple[TraceTags, NotchFitResult | FitError]], list[FailureEntry]]:
+    """The (tags, fit) pairs to use, ascending in T, and the failures of the
+    traces set aside, whose fit is None (T <= 0 K, then T >= Tc, ascending;
+    then untagged); InputError when the pairs to use are not one sweep."""
     tagged = sorted(
         (pair for pair in results if pair[0].temperature_k is not None),
         key=lambda pair: pair[0].temperature_k,
     )
-    kept = [pair for pair in tagged if 0.0 < pair[0].temperature_k < tc]
+    kept = [pair for pair in tagged if pair[1] is not None]
 
     def reason(t: float) -> str:
         if t <= 0.0:
@@ -79,11 +88,11 @@ def _partition(
         return f"T = {t} K >= Tc = {tc} K: gap closed, model invalid"
 
     set_aside = [
-        FailureEntry(tr.source, tr.temperature_k, reason(tr.temperature_k))
-        for tr, _ in tagged if not 0.0 < tr.temperature_k < tc
+        FailureEntry(tags.source, tags.temperature_k, reason(tags.temperature_k))
+        for tags, fit in tagged if fit is None
     ] + [
-        FailureEntry(tr.source, None, "no temperature tag")
-        for tr, _ in results if tr.temperature_k is None
+        FailureEntry(tags.source, None, "no temperature tag")
+        for tags, _ in results if tags.temperature_k is None
     ]
     if len(kept) < 2:
         raise InputError("sweep needs at least 2 temperature-tagged traces below Tc")
@@ -125,19 +134,19 @@ def _redshift_onset(temps, shifts, fr_stderr, ref_stderr) -> tuple[float | None,
 
 
 def _read_and_fit(path: str | Path, tc: float):
-    """One sweep file: its trace, the sha256 of its bytes, and its fit, a
+    """One sweep file: its tags, the sha256 of its bytes, and its fit, a
     ``FitError``, or None when the trace is set aside: untagged, or tagged
     outside (0, Tc)."""
     data = read_bytes(path)
     digest = hashlib.sha256(data).hexdigest()
     trace = ingest_s21(path, data=data)
-    t = trace.temperature_k
-    if t is None or not 0.0 < t < tc:
-        return trace, digest, None
+    tags = TraceTags(trace.source, trace.temperature_k, trace.power_dbm)
+    if tags.temperature_k is None or not 0.0 < tags.temperature_k < tc:
+        return tags, digest, None
     try:
-        return trace, digest, fit_notch(trace)
+        return tags, digest, fit_notch(trace)
     except FitError as exc:
-        return trace, digest, exc
+        return tags, digest, exc
 
 
 def sweep_analyze(paths: list[str | Path], config: AnalysisConfig) -> AnalysisReport:
@@ -160,7 +169,8 @@ def sweep_analyze(paths: list[str | Path], config: AnalysisConfig) -> AnalysisRe
     """
     config.require("material", "geometry", "tls")
     tc = config.material.tc_kelvin
-    sizes = [Path(path).stat().st_size for path in paths]
+    # a file that cannot be stat'ed counts 0 bytes: reading it in the map fails
+    sizes = [p.stat().st_size if p.is_file() else 0 for p in map(Path, paths)]
     results = ordered_map(partial(_read_and_fit, tc=tc), paths, sizes)
     provenance = {
         "tool": "cpwloss",
@@ -171,11 +181,11 @@ def sweep_analyze(paths: list[str | Path], config: AnalysisConfig) -> AnalysisRe
             for path, (_, digest, _) in zip(paths, results)
         ],
     }
-    kept, set_aside = _partition([(tr, fit) for tr, _, fit in results], tc)
-    fits = [(trace, r) for trace, r in kept if not isinstance(r, FitError)]
+    kept, set_aside = _partition([(tags, fit) for tags, _, fit in results], tc)
+    fits = [(tags, r) for tags, r in kept if not isinstance(r, FitError)]
     failures = [
-        FailureEntry(trace.source, trace.temperature_k, str(r))
-        for trace, r in kept
+        FailureEntry(tags.source, tags.temperature_k, str(r))
+        for tags, r in kept
         if isinstance(r, FitError)
     ] + set_aside
     if not fits:
@@ -183,15 +193,15 @@ def sweep_analyze(paths: list[str | Path], config: AnalysisConfig) -> AnalysisRe
 
     t_ref = config.fit.t_ref_kelvin
     if t_ref is None:
-        ref_trace, ref_fit = fits[0]
+        ref_tags, ref_fit = fits[0]
     else:
-        ref_trace, ref_fit = min(
+        ref_tags, ref_fit = min(
             fits, key=lambda pair: abs(pair[0].temperature_k - t_ref)
         )
     fr_ref = ref_fit.params.fr_hz
     omega = angular_frequency(fr_ref)
 
-    temps = np.array([trace.temperature_k for trace, _ in fits])
+    temps = np.array([tags.temperature_k for tags, _ in fits])
     qi_measured = np.array([fit.qi for _, fit in fits])
     chain = theory_chain(config, omega, temps)
     budget = make_budget(
@@ -209,7 +219,7 @@ def sweep_analyze(paths: list[str | Path], config: AnalysisConfig) -> AnalysisRe
         temps, delta_f, fr_stderr, ref_fit.stderr.get("fr_hz", 0.0)
     )
     derived = {
-        "reference_temperature_k": ref_trace.temperature_k,
+        "reference_temperature_k": ref_tags.temperature_k,
         "reference_fr_hz": fr_ref,
         "nqp_plateau_per_um3": median(plateau) if plateau.size else None,
         "nqp_plateau_points": plateau.size,

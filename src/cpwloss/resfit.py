@@ -13,7 +13,7 @@ refinement of all seven parameters on the stacked real/imaginary residuals.
 Qi follows from 1/Qi = 1/Ql - Re(exp(j phi))/|Qc|.
 
 Fits on different traces are independent and safe to run in parallel; a
-sweep runs them on a forked worker pool (:mod:`cpwloss.pipeline.parallel`).
+sweep runs them on forked worker processes (:mod:`cpwloss.pipeline.parallel`).
 The synthetic-trace generator is seeded per call and never shares RNG state.
 """
 

@@ -1,6 +1,7 @@
-"""The forked worker pool behind `cpwloss sweep`: the same results, warnings
+"""The forked workers behind `cpwloss sweep`: the same results, warnings
 and errors as the in-process run."""
 
+import errno
 import json
 import os
 import subprocess
@@ -236,17 +237,102 @@ def test_dead_worker_fails_the_map():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    assert out.returncode == 1 and "BrokenProcessPool" in out.stderr
+    assert out.returncode == 1
+    assert "ChildProcessError: a worker process died before returning its results" in out.stderr
 
 
-def test_cli_import_loads_no_multiprocessing():
+def test_worker_never_returns_into_the_caller_and_is_reaped():
+    # a line left unflushed before the fork would be printed again by any
+    # process that ran on in the caller's code and exited normally
     src = Path(cli.__file__).resolve().parents[1]
     probe = (
-        "import sys, cpwloss.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        "import os\n"
+        "from cpwloss.pipeline import parallel\n"
+        "parallel.MIN_BYTES_PER_WORKER = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "print('before the map')\n"
+        "try:\n"
+        "    parallel.ordered_map(lambda x: lambda: x, [1, 2], [10**15] * 2)\n"
+        "except Exception as exc:\n"
+        "    print('map failed:', type(exc).__name__, exc)\n"
+        "print('after the map')\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    assert out.stdout.strip() == "[]"
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "before the map",
+        "map failed: ChildProcessError a worker process died before returning its results",
+        "after the map",
+        "no child left",
+    ]
+
+
+def test_failed_fork_reaps_the_workers_forked_before(monkeypatch, pooled):
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(BlockingIOError):
+        parallel.ordered_map(_getpid, range(4), [10**15] * 4)
+    assert max(pooled) >= 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_dead_worker_fails_the_cli_with_exit_1(tmp_path, sweep_dir):
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import os, sys\n"
+        "from cpwloss import cli\n"
+        "from cpwloss.pipeline import parallel, sweep\n"
+        "parallel.MIN_BYTES_PER_WORKER = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sweep.fit_notch = lambda trace: os._exit(9)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["sweep", str(sweep_dir / "traces"), "--config", str(sweep_dir / "config.json"),
+            "--out", str(tmp_path / "out")]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_loads_no_multiprocessing(sweep_dir):
+    # nor does a sweep on two forked workers load it, or concurrent.futures
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import json, os, sys, cpwloss.cli\n"
+        "from cpwloss.pipeline import parallel\n"
+        "from cpwloss.pipeline.config import load_config\n"
+        "from cpwloss.pipeline.sweep import sweep_analyze\n"
+        "parallel.MIN_BYTES_PER_WORKER = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "root = sys.argv[1]\n"
+        "paths = sorted(os.path.join(root, 'traces', n) for n in os.listdir(root + '/traces'))\n"
+        "report = sweep_analyze(paths, load_config(root + '/config.json'))\n"
+        "sizes = [os.path.getsize(p) for p in paths]\n"
+        "print(parallel.worker_count(len(paths), sum(sizes)), len(report.fits))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('multiprocessing', 'concurrent'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(sweep_dir)], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.stdout.splitlines() == ["2 8", "[]"]

@@ -322,6 +322,13 @@ class TestSweepAnalyze:
         with pytest.raises(FitError):
             sweep_analyze(write_traces(flats, tmp_path), config)
 
+    def test_missing_file_is_an_input_error(self, analyzed, tmp_path):
+        # as for a file that exists but cannot be read
+        config, paths, _ = analyzed
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(InputError, match=f"^cannot read {re.escape(str(missing))}: "):
+            sweep_analyze([*paths[:2], missing], config)
+
     def test_power_mismatch_rejected(self, analyzed, tmp_path):
         config, paths, _ = analyzed
         bad = [ingest_s21(p) for p in paths]
