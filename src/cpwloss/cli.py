@@ -276,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return FitError.exit_code
-    except (CpwLossError, ValueError, OSError) as exc:
+    except (CpwLossError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return InputError.exit_code
 

@@ -1,19 +1,21 @@
 """Trace and transport-series ingestion.
 
-Every text input shares one line grammar. The text is UTF-8 and is split
-into lines by ``str.splitlines``; each line is stripped of surrounding
-whitespace and numbered from 1. A blank line is skipped. A line that starts
-with the format's comment character is a comment: ``#`` in CSV and R(T)
-files, ``!`` in Touchstone. In trace files comments are read for the
-metadata tags ``temperature_K=...`` and ``power_dbm=...``; in Touchstone a
-trailing ``! comment`` is also cut off every other line. The remaining
-lines of each format are:
+Every text input shares one line grammar. The text is UTF-8, with or
+without a leading byte-order mark, and is split into lines by
+``str.splitlines``; each line is stripped of surrounding whitespace and
+numbered from 1. A blank line is skipped. A line that starts with the
+format's comment character is a comment: ``#`` in CSV and R(T) files, ``!``
+in Touchstone. In trace files comments are read for the metadata tags
+``temperature_K=...`` and ``power_dbm=...``; in Touchstone a trailing
+``! comment`` is also cut off every other line. The remaining lines of each
+format are:
 
 * S21 CSV: the header ``freq_hz,s21_re,s21_im`` or ``freq_hz,s21_db,s21_deg``
   (auto-detected), then one row per point with ``,`` separators.
-* Touchstone v1 ``.s2p``: ``#`` option lines, RI and DB/ANG formats (the
-  last unit and format token given applies to every data row), and rows of
-  9 whitespace-separated numbers; the S21 column is extracted.
+* Touchstone v1 ``.s2p``: ``#`` option lines before the first data row, RI
+  and DB/ANG formats (the last unit and format token given applies to every
+  data row), and rows of 9 whitespace-separated numbers; the S21 column is
+  extracted. A ``#`` line after the first data row is a malformed row.
 * R(T) CSV: the header ``temperature_K,resistance_ohm``, then the rows.
 
 Data rows are parsed with numpy's number syntax (``1e9``, ``-0.5``,
@@ -25,10 +27,11 @@ with a 1-based line number.
 A reader splits its text once. The head, up to the first data row (the
 comments, the CSV header or the Touchstone option lines), goes through the
 numbered line scanner ``_lines``; the data block, from that row to the end,
-goes to one ``numpy.loadtxt`` call. Only when that call fails (a bad or
-non-finite number, a wrong column count, a comment line or a trailing
-comment) are the data rows numbered and read by the grammar above, so a
-file reads the same, and fails with the same message and line, either way.
+goes to ``_table``, which parses it in one ``numpy.loadtxt`` call. Only when
+that call fails (a bad or non-finite number, a wrong column count, a comment
+line or a trailing comment) does ``_table`` number the data rows and read
+them by the grammar above, so a file reads the same, and fails with the
+same message and line, either way.
 """
 
 from __future__ import annotations
@@ -58,15 +61,15 @@ def read_bytes(path: str | Path) -> bytes:
 
 
 def _read_text(p: Path, data: bytes | None = None) -> str:
-    """The UTF-8 text of ``p``, decoded from ``data`` when it is given.
-
-    Lines are split later by ``str.splitlines``, so the CR and CRLF line
-    ends that text-mode reading would translate need no translation here.
+    """The UTF-8 text of ``p``, decoded from ``data`` when it is given; a
+    leading byte-order mark is dropped. Lines are split later by
+    ``str.splitlines``, so the CR and CRLF line ends that text-mode reading
+    would translate need no translation here.
     """
     if data is None:
         data = read_bytes(p)
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {p}: {exc}") from exc
 
@@ -78,14 +81,27 @@ def _numbers(lines: list[str], ncols: int, delimiter: str | None) -> np.ndarray:
     return table
 
 
-def _table(rows: list[tuple[int, str]], ncols: int, delimiter: str | None, path):
-    """(n, ncols) float array of numbered data rows, parsed in one call.
+def _table(lines: list[str], rows, ncols: int, delimiter: str | None, path):
+    """The data rows of ``lines`` and their (n, ncols) float table.
 
-    Only when that call fails are the rows parsed one at a time, to name
-    the first bad line.
+    ``rows`` are the numbered rows from the first data row on, an iterator
+    scanned only as it is taken. The raw lines from that row to the end are
+    parsed in one call, which a comment line or a trailing comment also
+    fails, as no number holds ``#`` or ``!``. Only when that call fails or
+    a number is not finite are the rows taken (setting their tags), parsed
+    again, and then parsed one at a time to name the first bad line. The
+    rows are returned as taken: still an iterator after the one call.
     """
-    if not rows:
+    first = next(rows, None)
+    if first is None:
         raise InputError(f"{path}: no data rows")
+    try:
+        table = _numbers(lines[first[0] - 1 :], ncols, delimiter)
+        if np.isfinite(table).all():
+            return itertools.chain([first], rows), table
+    except ValueError:
+        pass
+    rows = [first, *rows]
     try:
         table = _numbers([line for _, line in rows], ncols, delimiter)
     except ValueError as exc:
@@ -101,7 +117,7 @@ def _table(rows: list[tuple[int, str]], ncols: int, delimiter: str | None, path)
     if not finite.all():
         lineno, line = rows[int(np.argmin(finite))]
         raise InputError(f"{path}:{lineno}: non-finite number in {line!r}")
-    return table
+    return rows, table
 
 
 def _lines(lines: list[str], path, comment: str, meta: dict | None = None, cut=False):
@@ -133,22 +149,6 @@ def _lines(lines: list[str], path, comment: str, meta: dict | None = None, cut=F
             yield lineno, line
 
 
-def _one_call(lines: list[str], first: int, ncols: int, delimiter: str | None):
-    """The float table of the data block ``lines[first - 1:]``, parsed in
-    one call; None when the call rejects a row or a number is not finite.
-
-    A comment in the block also fails the call, as no number holds ``#``
-    or ``!``. The block starts at a data row, so the call never sees an
-    empty block. A None sends the caller to the numbered rows of ``_lines``,
-    which name the bad line or read the comment.
-    """
-    try:
-        table = _numbers(lines[first - 1 :], ncols, delimiter)
-    except ValueError:
-        return None
-    return table if np.isfinite(table).all() else None
-
-
 def _csv_table(text: str, path, headers: dict, kind: str, meta: dict | None):
     """The header's mode, the numbered data rows and their float table of a
     CSV document; its first line is the header, one of ``headers``. The
@@ -161,13 +161,7 @@ def _csv_table(text: str, path, headers: dict, kind: str, meta: dict | None):
     header = ",".join(tok.strip().lower() for tok in line.split(","))
     if header not in headers:
         raise InputError(f"{path}:{lineno}: unrecognized {kind} header {line!r}")
-    ncols = header.count(",") + 1
-    first = next(numbered, None)
-    rows = itertools.chain([first] if first else [], numbered)
-    table = _one_call(lines, first[0], ncols, ",") if first else None
-    if table is None:
-        rows = list(rows)
-        table = _table(rows, ncols, ",", path)
+    rows, table = _table(lines, numbered, header.count(",") + 1, ",", path)
     return headers[header], rows, table
 
 
@@ -219,29 +213,24 @@ def _parse_touchstone(text: str, path) -> S21Trace:
     meta: dict = {}
     lines = text.splitlines()
     numbered = _lines(lines, path, "!", meta, cut=True)
-    rows = []
-    for row in numbered:  # the "#" option lines, up to the first data row
-        rows.append(row)
-        if row[1][0] != "#":
-            break
-    if not rows:
+    options, first = [], next(numbered, None)
+    while first and first[1][0] == "#":  # the option lines, before the first data row
+        options.append(first[1][1:])
+        first = next(numbered, None)
+    if not (options or first):
         raise InputError(f"{path}: empty touchstone file")
-    table = None
-    if rows[-1][1][0] != "#":
-        table = _one_call(lines, rows[-1][0], 9, None)
-    if table is None:
-        rows += numbered
     unit, fmt = 1e9, "ma"
-    # every token of the "#" option lines, in order; a later one overrides
-    for tok in " ".join(line[1:] for _, line in rows if line[0] == "#").lower().split():
+    # every token of the option lines, in order; a later one overrides
+    for tok in " ".join(options).lower().split():
         if tok in _TS_UNITS:
             unit = _TS_UNITS[tok]
         elif tok in ("ri", "db", "ma"):
             fmt = tok
     if fmt == "ma":
+        list(numbered)  # a bad tag in the data block is named first, as with RI or DB
         raise InputError(f"{path}: MA-format touchstone is not supported; use RI or DB")
-    if table is None:
-        table = _table([row for row in rows if row[1][0] != "#"], 9, None, path)
+    # the rows from the first data row on; a first row of None is no data row
+    _, table = _table(lines, itertools.chain([first], numbered), 9, None, path)
     return _finish_trace(table[:, 0] * unit, _s21(fmt, table[:, 3], table[:, 4]), meta, path)
 
 

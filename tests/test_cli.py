@@ -120,6 +120,28 @@ class TestExitCodes:
         assert stdout == "" and 'duplicate key "alpha"' in err and str(bad) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["mb", "synth", "synth_sweep"])
+    def test_size_beyond_memory_is_1_and_writes_nothing(
+        self, capsys, tmp_path, sweep_setup, command
+    ):
+        # 10**15 float64 values are 7.1 PiB, beyond the address space, so the
+        # allocation fails at once
+        cfg_path, _ = sweep_setup
+        doc = json.loads(cfg_path.read_text())
+        doc["run"]["npoints"] = 10**15
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "mb": ["mb", "--config", str(cfg_path), "--points", str(10**15)],
+            "synth": ["synth", "--points", str(10**15), "--out", str(tmp_path / "t.csv")],
+            "synth_sweep": ["synth", "--kind", "sweep", "--config", str(big), "--out", str(out)],
+        }[command]
+        rc, stdout, err = run_cli(capsys, *argv)
+        assert rc == 1, err
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_missing_input_is_1(self, capsys):
         rc, _, _ = run_cli(capsys, "dc", "/nonexistent/rt.csv")
         assert rc == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -11,7 +12,9 @@ from cpwloss.errors import ConfigError, DataQualityWarning, InputError
 from cpwloss.pipeline import config as cfgmod
 from cpwloss.pipeline import io as io_module
 from cpwloss.pipeline.dc import extract_tc_rrr
+from cpwloss.pipeline.forward import calibrate_sweep_config, synth_sweep
 from cpwloss.pipeline.io import ingest_rt, ingest_s21, write_s21_csv
+from cpwloss.pipeline.sweep import sweep_analyze
 from cpwloss.pipeline.xrd import lattice_constant
 from cpwloss.resfit import NotchParams, synth_trace
 from conftest import default_grid
@@ -172,6 +175,17 @@ def test_db_overflow_is_input_error(tmp_path, name, text):
         ingest_s21(p)
 
 
+def test_touchstone_option_line_after_the_data_is_a_malformed_row(tmp_path):
+    # the option line comes before the data (Touchstone v1); a later one
+    # must not rescale the rows read before it
+    p = tmp_path / "t.s2p"
+    row = "{} 0 0 1 0 0 0 1 0\n"
+    p.write_text("# Hz S RI R 50\n" + row.format("5.0e9") + row.format("5.1e9")
+                 + "# GHz S RI R 50\n" + row.format("5.2e9"))
+    with pytest.raises(InputError, match=r"t\.s2p:4: expected 9 numbers, got '# GHz S RI R 50'"):
+        ingest_s21(p)
+
+
 @pytest.mark.parametrize(
     "name, text, lineno",
     [
@@ -328,8 +342,15 @@ def _outcome(tmp_path, fmt, text):
 def test_one_call_parse_matches_the_numbered_rows(tmp_path, monkeypatch, fmt, data):
     text = data.draw(block_documents(fmt))
     one_call = _outcome(tmp_path, fmt, text)
+    real, first = io_module._numbers, iter([True])
+
+    def raw_block_fails(lines, *args):
+        if next(first, False):  # the first call, over the raw data block
+            raise ValueError("raw block")
+        return real(lines, *args)
+
     with monkeypatch.context() as m:
-        m.setattr(io_module, "_one_call", lambda *args: None)
+        m.setattr(io_module, "_numbers", raw_block_fails)
         assert _outcome(tmp_path, fmt, text) == one_call
 
 
@@ -347,6 +368,37 @@ def test_clean_data_block_is_parsed_in_one_call(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(io_module, "_numbers", counted)
     _read(tmp_path, fmt, "\n".join([*header, *rows]) + "\n")
     assert calls == [50]
+
+
+def test_byte_order_mark_reads_as_the_file_without_it(tmp_path):
+    """A UTF-8 byte-order mark, as Windows and Excel exports write it, is
+    dropped: each reader returns what it returns for the file without it,
+    an error names the same line, and a sweep's provenance hashes the raw
+    bytes, mark included."""
+    docs = {  # format: head lines, a row, the line of the second row
+        "csv_ri": ("# temperature_K=0.5\nfreq_hz,s21_re,s21_im\n", "{},0.5,-0.5\n", 4),
+        "s2p": ("! temperature_K=0.5\n# HZ S RI R 50\n", "{} 0 0 0.5 -0.5 0 0 1 0\n", 4),
+        "rt": ("temperature_K,resistance_ohm\n", "{},2.0\n", 3),
+    }
+    for fmt, (head, row, lineno) in docs.items():
+        for last in ("5.1e9", "oops"):
+            text = head + row.format("5e9") + row.format(last)
+            outcome = _outcome(tmp_path, fmt, text)
+            assert _outcome(tmp_path, fmt, "\ufeff" + text) == outcome
+            if last == "oops":
+                assert f":{lineno}: expected" in outcome
+            else:
+                assert isinstance(outcome, tuple)
+
+    config = cfgmod.config_from_dict(calibrate_sweep_config(temperatures=[0.3, 0.6], npoints=201))
+    paths = synth_sweep(config, tmp_path / "sweep")
+    for p in paths:
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    report = sweep_analyze(paths, config)
+    assert len(report.fits) == 2
+    assert [entry["sha256"] for entry in report.provenance["inputs"]] == [
+        hashlib.sha256(p.read_bytes()).hexdigest() for p in paths
+    ]
 
 
 def synthetic_rt(tc=10.7, plateau=159.5, rrr=0.98, width=0.08):
