@@ -3,7 +3,8 @@
 Subcommands: mb (conductivity tables), fit (single-trace notch fit),
 sweep (temperature-sweep analysis), photon (power/photon budget),
 synth (synthetic traces and sweeps), dc (Tc/RRR extraction),
-xrd (lattice constant).
+xrd (lattice constant). The photon, dc and xrd modules are imported by
+their own subcommands, so sweep, fit and mb never load them.
 
 Exit codes: 0 success, 1 input/format error (a malformed command line
 included), 2 fit/convergence error, 3 configuration error.
@@ -20,16 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .constants import angular_frequency
+from .constants import CU_KALPHA1_ANGSTROM, angular_frequency
 from .errors import ConfigError, CpwLossError, FitError, InputError
-from .photon import build_power_budget, power_for_photons
 from .pipeline.config import AnalysisConfig, load_config
-from .pipeline.dc import extract_tc_rrr
 from .pipeline.forward import film_response, synth_sweep
 from .pipeline.io import TRACE_SUFFIXES, ingest_rt, ingest_s21, write_s21_csv
 from .pipeline.report import emit_report, fit_record, table_text, to_json
 from .pipeline.sweep import sweep_analyze
-from .pipeline.xrd import CU_KALPHA1_ANGSTROM, lattice_constant
 from .resfit import NotchParams, fit_notch, synth_trace
 
 
@@ -105,6 +103,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_photon(args) -> int:
+    from .photon import build_power_budget, power_for_photons
+
     if args.att_db is not None and args.pvna_dbm is None:
         raise InputError("--att-db is read only with --pvna-dbm")
     if args.n_target is not None:
@@ -162,12 +162,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_dc(args) -> int:
+    from .pipeline.dc import extract_tc_rrr
+
     t, r = ingest_rt(args.rt_file)
     _emit(asdict(extract_tc_rrr(t, r)), args)
     return 0
 
 
 def cmd_xrd(args) -> int:
+    from .pipeline.xrd import lattice_constant
+
     a = lattice_constant(args.two_theta, tuple(args.hkl), args.wavelength)
     _emit(
         {

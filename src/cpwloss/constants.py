@@ -26,6 +26,9 @@ BCS_GAP_RATIO = 1.76
 M3_TO_UM3 = 1e-18
 """Density conversion factor, m^-3 to um^-3."""
 
+CU_KALPHA1_ANGSTROM = 1.5406
+"""Cu K-alpha1 X-ray wavelength, Angstrom: the default of ``cpwloss xrd``."""
+
 
 def angular_frequency(f_hz: float) -> float:
     """Convert a frequency in Hz to an angular frequency in rad/s."""

@@ -146,7 +146,8 @@ def synth_sweep(config: AnalysisConfig, out_dir: str | Path) -> list[Path]:
     """Write one synthetic trace file per configured temperature, named
     ``s21_T<T to 4 decimals>K.csv`` in ``out_dir``; returns the paths,
     ascending in T. Two temperatures that give one name are a ConfigError,
-    raised before any file is written.
+    raised before any file is written; ``out_dir`` is made once the first
+    trace exists.
 
     Reads the forward-model inputs from the material/geometry/tls/fit
     sections and the synthesis knobs (grid, coupling, noise, seed) from the
@@ -170,7 +171,6 @@ def synth_sweep(config: AnalysisConfig, out_dir: str | Path) -> list[Path]:
             )
         named[name] = pt.temperature_k
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in named]
     seeds = np.random.SeedSequence(run.seed).spawn(len(points))
     for pt, seed, path in zip(points, seeds, paths):
@@ -182,6 +182,7 @@ def synth_sweep(config: AnalysisConfig, out_dir: str | Path) -> list[Path]:
             params, grid, noise_sigma=run.noise_sigma,
             seed=seed.generate_state(1)[0], temperature_k=pt.temperature_k,
         )
+        out.mkdir(parents=True, exist_ok=True)  # a grid too large to make leaves none
         write_s21_csv(path, trace)
     return paths
 

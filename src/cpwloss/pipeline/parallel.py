@@ -1,6 +1,7 @@
 """Order-preserving map over independent work items on forked worker processes.
 
-:func:`ordered_map` runs ``fn`` over ``items`` on as many workers as the
+:func:`ordered_map` runs ``fn`` over ``items`` (a sweep's files, or the row
+blocks of a large ``report.table_text`` table) on as many workers as the
 usable CPUs, the items and the size rule allow, and returns the results in
 input order; below two workers it is the builtin ``map`` in this process.
 The items are dealt out before any fork, largest first, each to the worker
@@ -18,13 +19,14 @@ import os
 import pickle
 import warnings
 
-# the input bytes per worker process: below twice this a map stays in this
-# process. Two workers broke even at about 0.65 MiB each (2 CPUs, end to end).
+# the bytes read or written per worker process: below twice this a map stays
+# in this process. Two workers broke even at about 0.65 MiB each (2 CPUs,
+# end to end).
 MIN_BYTES_PER_WORKER = 2 << 20
 
 
 def worker_count(n_items: int, work_bytes: int) -> int:
-    """Workers for ``n_items`` items holding ``work_bytes`` bytes of input:
+    """Workers for ``n_items`` items that read or write ``work_bytes`` bytes:
     at most one per usable CPU, per item and per MIN_BYTES_PER_WORKER."""
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -49,8 +51,9 @@ def ordered_map(fn, items, sizes: list[int]) -> list:
 
     ``fn`` runs in a forked copy of this process, so what it changes besides
     its result is lost; forking is safe only while no other thread runs, as
-    in the CLI. ``sizes`` are the items' input bytes: the size rule weighs
-    their sum, and the items are dealt to the workers by them."""
+    in the CLI. ``sizes`` are the bytes each item reads or writes (a sweep's
+    file bytes, a table block's text bytes): the size rule weighs their sum,
+    and the items are dealt to the workers by them."""
     n = worker_count(len(items), sum(sizes))
     if n < 2:
         return list(map(fn, items))

@@ -10,7 +10,9 @@ rows.
 Identical analyses produce byte-identical files: one cell rule writes every
 scalar (``_number``), JSON is laid out as ``json.dumps(indent=2)`` lays it
 out, key order is fixed, and entries are sorted by temperature. CSV schemas
-are versioned in the report's provenance block.
+are versioned in the report's provenance block. A large table is formatted
+in row blocks on the forked workers of ``parallel.ordered_map``, with the
+same text.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..resfit import NotchFitResult
+from . import parallel
 
 if TYPE_CHECKING:
     from .sweep import AnalysisReport
@@ -123,22 +126,49 @@ def _cells(column, cell) -> list[str]:
     return [repr(v) if isfinite(v) else null for v in column.tolist()]
 
 
+def _table(columns: dict, fmt: str, mapped: bool) -> str:
+    """The text of ``table_text``; the rows in one contiguous block per
+    worker of ``parallel.ordered_map`` when ``mapped``, else in one block."""
+    names = [encode_basestring_ascii(name) for name in columns]  # str names only
+    cell = _json_cell if fmt == "json" else _csv_cell
+    if fmt == "csv":
+        # a lone empty cell is written "", as csv.writer writes it
+        sep, row = "\n", lambda cells: ",".join(cells) or '""'
+    else:
+        # one template per row object; a % in a name must not act as a format
+        template = _layout([name.replace("%", "%%") + ": %s" for name in names], "{}")
+        sep, row = ",\n  ", template.replace("\n", "\n  ").__mod__
+
+    def block(bounds):
+        rows = zip(*(_cells(c[slice(*bounds)], cell) for c in columns.values()))
+        return sep.join(map(row, rows))
+
+    n = min(map(len, columns.values()), default=0)
+    # a row weighs the most text it can write: 24 bytes is the longest float64 repr
+    per_row = len(row(("",) * len(names))) + len(sep) + 24 * len(names)
+    k = min(n, max(1, parallel.worker_count(n, n * per_row)) if mapped else 1)
+    bounds = [(n * i // k, n * (i + 1) // k) for i in range(k)]
+    sizes = [(b - a) * per_row for a, b in bounds]
+    blocks = parallel.ordered_map(block, bounds, sizes) if k > 1 else list(map(block, bounds))
+    if fmt == "csv":
+        return "\n".join([row(map(_csv_cell, columns)), *blocks]) + "\n"
+    return f"[\n  {sep.join(blocks)}\n]\n" if blocks else "[]\n"
+
+
 def table_text(columns: dict, fmt: str) -> str:
     """Equal-length columns, keyed by name, as text with a final newline: a
     JSON array of one flat object per row, or a CSV header row and one line
     per row. A column is a float64 array or a list of cells; no row object
-    is made."""
-    names = [encode_basestring_ascii(name) for name in columns]  # str names only
-    cell = _json_cell if fmt == "json" else _csv_cell
-    rows = zip(*(_cells(c, cell) for c in columns.values()))
-    if fmt == "csv":
-        # a lone empty cell is written "", as csv.writer writes it
-        lines = [",".join(row) or '""' for row in (map(_csv_cell, columns), *rows)]
-        return "\n".join(lines) + "\n"
-    # one template per row object; a % in a name must not act as a format
-    template = _layout([name.replace("%", "%%") + ": %s" for name in names], "{}")
-    body = ",\n  ".join(map(template.replace("\n", "\n  ").__mod__, rows))
-    return f"[\n  {body}\n]\n" if body else "[]\n"
+    is made.
+
+    A table that weighs enough for the size rule of ``parallel.ordered_map``
+    is formatted on forked workers, one contiguous block of rows each, and
+    the blocks are joined in order: the same text as in this process. Like
+    ``sweep_analyze``, it is then safe only while no other thread runs. A
+    name that is not a str raises TypeError here, before any fork; a cell
+    that is not a JSON or CSV cell raises TypeError, from the first block
+    that holds one."""
+    return _table(columns, fmt, mapped=True)
 
 
 def fit_record(result: NotchFitResult) -> dict:
@@ -212,7 +242,7 @@ def emit_report(report: AnalysisReport, out_dir: str | Path) -> list[Path]:
     texts = {"report.json": to_json(doc) + "\n"}
     for name, columns in _CSV_COLUMNS.items() if entries else ():
         cells = {h: [reduce(getitem, p.split("."), e) for e in entries] for h, p in columns}
-        texts[name] = table_text(cells, "csv")
+        texts[name] = _table(cells, "csv", mapped=False)  # a row per trace: never worth a fork
     for name, text in texts.items():
         (out / name).write_text(text, encoding="utf-8")
     return [out / name for name in texts]

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 
-CU_KALPHA1_ANGSTROM = 1.5406
-"""Default X-ray wavelength: Cu K-alpha1, in Angstrom."""
+from ..constants import CU_KALPHA1_ANGSTROM
 
 
 def lattice_constant(

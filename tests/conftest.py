@@ -1,3 +1,5 @@
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -9,12 +11,32 @@ sys.path.insert(0, str(Path(__file__).parent))
 from cpwloss.constants import angular_frequency
 from cpwloss.impedance import CpwGeometry
 from cpwloss.mbcore import MaterialParams
+from cpwloss.pipeline import parallel
 from cpwloss.pipeline.config import AnalysisConfig, FitSettings, RunSettings
 from cpwloss.pipeline.forward import film_response
 from cpwloss.resfit import NotchParams
 
 F0_HZ = 5.95e9
 OMEGA0 = angular_frequency(F0_HZ)
+
+
+@contextlib.contextmanager
+def two_cpus(min_bytes_per_worker=None):
+    """Two usable CPUs for ``parallel.ordered_map``, also on a one-CPU host,
+    and the size rule's MIN_BYTES_PER_WORKER when given; yields the pids
+    forked in this process."""
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(real())
+        return forks[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        m.setattr(os, "fork", fork)
+        if min_bytes_per_worker is not None:
+            m.setattr(parallel, "MIN_BYTES_PER_WORKER", min_bytes_per_worker)
+        yield forks
 
 
 def film(material: MaterialParams, temps, omega=OMEGA0, sigma2_prefactor="four"):

@@ -141,6 +141,7 @@ class TestExitCodes:
         assert rc == 1, err
         assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.rglob("*.csv"))
+        assert not out.exists()
 
     def test_missing_input_is_1(self, capsys):
         rc, _, _ = run_cli(capsys, "dc", "/nonexistent/rt.csv")

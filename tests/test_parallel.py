@@ -1,5 +1,5 @@
-"""The forked workers behind `cpwloss sweep`: the same results, warnings
-and errors as the in-process run."""
+"""The forked workers behind `cpwloss sweep` and the `cpwloss mb` table: the
+same results, warnings and errors as the in-process run."""
 
 import errno
 import json
@@ -22,6 +22,7 @@ from cpwloss.pipeline.config import config_from_dict
 from cpwloss.pipeline.forward import calibrate_sweep_config, synth_sweep
 from cpwloss.pipeline.io import write_s21_csv
 from cpwloss.resfit import S21Trace
+from conftest import two_cpus
 
 IN_PROCESS = 1 << 62  # a MIN_BYTES_PER_WORKER no input reaches
 
@@ -336,3 +337,48 @@ def test_cli_import_loads_no_multiprocessing(sweep_dir):
         check=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert out.stdout.splitlines() == ["2 8", "[]"]
+
+
+@pytest.fixture
+def forks():
+    """Two usable CPUs and the size rule as it is; the pids forked."""
+    with two_cpus() as pids:
+        yield pids
+
+
+def test_small_tables_never_fork(capsys, tmp_path, sweep_dir, forks):
+    config = str(sweep_dir / "config.json")
+    assert sweep(capsys, sweep_dir, tmp_path / "out") == (0, "")
+    assert len(list((tmp_path / "out").glob("*.csv"))) == 4
+    trace = sorted((sweep_dir / "traces").glob("s21_*.csv"))[0]
+    assert cli.main(["fit", "--format", "csv", str(trace)]) == 0
+    for fmt in ("json", "csv"):
+        assert cli.main(["mb", "--config", config, "--format", fmt]) == 0
+    f = np.linspace(5.9e9, 6.0e9, 1001)
+    write_s21_csv(tmp_path / "t.csv", S21Trace(f, np.exp(1j * f / 1e9)))
+    assert forks == []
+
+
+@pytest.mark.parametrize("fmt, workers", [("json", 2), ("csv", 0)])
+def test_mb_table_is_weighed_in_text_bytes(capsys, sweep_dir, forks, fmt, workers):
+    # 20,000 rows are 6.5 MB of JSON at most, two workers' worth, and 3.5 MB
+    # of CSV, which stays in this process
+    argv = ["mb", "--config", str(sweep_dir / "config.json"), "--points", "20000"]
+    assert cli.main([*argv, "--format", fmt]) == 0
+    assert len(forks) == workers
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_mb_table_on_two_workers_prints_the_in_process_table(
+    capsys, monkeypatch, sweep_dir, pooled, fmt
+):
+    argv = ["mb", "--config", str(sweep_dir / "config.json"), "--points", "20000",
+            "--format", fmt]
+    with monkeypatch.context() as m:
+        m.setattr(parallel, "MIN_BYTES_PER_WORKER", IN_PROCESS)
+        assert cli.main(argv) == 0
+        serial = capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == serial
+    assert [n >= 2 for n in pooled] == [False, True, True]  # table_text's, then the map's
+    assert serial.out.count("\n") == {"json": 20000 * 9 + 2, "csv": 20001}[fmt]

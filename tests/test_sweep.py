@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 import statistics
 from dataclasses import replace
@@ -31,6 +32,7 @@ from cpwloss.pipeline.io import ingest_s21, write_s21_csv
 from cpwloss.pipeline.report import emit_report, report_to_dict, table_text, to_json
 from cpwloss.pipeline.sweep import sweep_analyze
 from cpwloss.resfit import S21Trace
+from conftest import two_cpus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -591,3 +593,62 @@ class TestWriter:
         # Python 3.11's writer leaves a bare CR unquoted
         if "\r" not in ref.getvalue():
             assert text == ref.getvalue()
+
+
+def _forks_for(columns):
+    """The forks that a table takes when each worker needs only one byte."""
+    return 2 if min(map(len, columns.values()), default=0) >= 2 else 0
+
+
+class TestTableOnTwoWorkers:
+    """The table properties of TestTableText and TestWriter, with every table
+    of two or more rows cut into two blocks on two forked workers, as
+    test_parallel.py's ``pooled`` fixture forces a map."""
+
+    @given(float_tables())
+    @example({"edge": np.array(EDGE_FLOATS), "%s \"q\",\n\u00e9": -np.array(EDGE_FLOATS)})
+    def test_json_matches_json_dumps(self, columns):
+        with two_cpus(min_bytes_per_worker=1) as forks:
+            TestTableText.test_json_matches_json_dumps.hypothesis.inner_test(
+                TestTableText(), columns
+            )
+        assert len(forks) == _forks_for(columns)
+
+    @given(float_tables(names=st.just(list(MB_COLUMNS))))
+    @example({k: np.roll(EDGE_FLOATS, i) for i, k in enumerate(MB_COLUMNS)})
+    def test_csv_matches_csv_writer(self, columns):
+        with two_cpus(min_bytes_per_worker=1) as forks:
+            TestTableText.test_csv_matches_csv_writer.hypothesis.inner_test(
+                TestTableText(), columns
+            )
+        assert len(forks) == _forks_for(columns)
+
+    @given(cell_tables())
+    @example({"a": [None, ""], "b,\"c\"": ["x\ny", "\r"]})
+    @example({"a": [None, math.nan, "", True, False, 0]})
+    def test_csv_reads_back_and_matches_csv_writer(self, columns):
+        with two_cpus(min_bytes_per_worker=1) as forks:
+            TestWriter.test_csv_reads_back_and_matches_csv_writer.hypothesis.inner_test(
+                TestWriter(), columns
+            )
+        assert len(forks) == _forks_for(columns)
+
+    @given(cell_tables().filter(lambda c: _forks_for(c)), st.data())
+    def test_bad_cell_is_a_type_error(self, columns, data):
+        # one column gets a cell of no JSON or CSV type, in either block
+        name = data.draw(st.sampled_from(list(columns)))
+        row = data.draw(st.integers(0, len(columns[name]) - 1))
+        bad = data.draw(st.sampled_from([np.int64(1), {1.0}, b"x"]))
+        columns[name][row] = bad
+        fmt = data.draw(st.sampled_from(["json", "csv"]))
+        with two_cpus(min_bytes_per_worker=1) as forks, pytest.raises(TypeError):
+            table_text(columns, fmt)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):  # both workers reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_name_that_is_not_a_str_fails_before_any_fork(self, fmt):
+        with two_cpus(min_bytes_per_worker=1) as forks, pytest.raises(TypeError):
+            table_text({"a": [1.0, 2.0], 1: [1.0, 2.0]}, fmt)
+        assert forks == []
