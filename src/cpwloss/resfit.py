@@ -9,7 +9,9 @@ The transmission of a resonator side-coupled to a feedline is modelled as
 pipeline: cable-delay estimate from the off-resonant wings, algebraic
 (Taubin) circle fit, a closed-form seed of fr, Ql and the environment from
 the circle and its centered phase, then one joint Levenberg-Marquardt
-refinement of all seven parameters on the stacked real/imaginary residuals.
+refinement of all seven parameters on the stacked real/imaginary residuals,
+with normal equations from one complex Gram matrix, stopping once the gain it
+predicts falls below the rounding noise of the cost.
 Qi follows from 1/Qi = 1/Ql - Re(exp(j phi))/|Qc|.
 
 Fits on different traces are independent and safe to run in parallel; a
@@ -276,6 +278,11 @@ def _seed_resonance(
 # OpenBLAS computes a dot product of at most this many elements on one
 # thread, and splits a longer one across its threads
 _DOT_CHUNK = 10_000
+# ... and a 6 x 6 complex matrix product over at most 7281 columns
+# (6 * 6 * 7281 < 2**18, its threshold for a threaded zgemm)
+_GRAM_CHUNK = 4096
+# the stack row of which each Jacobian row is a multiple
+_ROWS = np.array([0, 1, 2, 2, 3, 3, 4])
 
 
 def _half_sq(r: np.ndarray) -> float:
@@ -290,12 +297,50 @@ def _half_sq(r: np.ndarray) -> float:
     return 0.5 * sum(float(r[i : i + c] @ r[i : i + c]) for i in range(0, r.size, c))
 
 
+def _notch_residual(f, w, z, p):
+    """The residual at ``p`` as interleaved (re, im) pairs, and the parts
+    :func:`_normal_equations` reuses; ``w`` is 2 pi (f - f_center)."""
+    fr, ql, qc, phi, amp, ph_c, tau = p
+    env = amp * np.exp(1j * (ph_c - w * tau))
+    detune = 1.0 + 2j * ql * (f / fr - 1.0)
+    notch = env * ((ql / qc) * np.exp(1j * phi)) / detune
+    m = env - notch
+    r = m - z
+    return r.view(float), (notch, detune, m, r)
+
+
+def _normal_equations(f, w, p, parts, x_scale):
+    """JtJ and Jtr of the residual at ``p``, in ``x_scale`` units.
+
+    The Jacobian's row k, d(residual)/d(p_k), is coef[k] times one of five
+    complex vectors (f q, q, notch, m, w m). With the residual as a sixth,
+    the products of every pair of rows are the real parts of one 6 x 6
+    Gram matrix conj(S) S^T, taken over _GRAM_CHUNK columns at a time so
+    that BLAS runs each product on one thread.
+    """
+    fr, ql, qc, _, amp, _, _ = p
+    notch, detune, m, r = parts
+    q = notch / detune
+    s = np.stack([f * q, q, notch, m, w * m, r])
+    s_conj, c = s.conj(), _GRAM_CHUNK
+    gram = sum(s_conj[:, i : i + c] @ s[:, i : i + c].T for i in range(0, f.size, c))
+    coef = x_scale * np.array(
+        [-2j * ql / (fr * fr), -1.0 / ql, 1.0 / qc, -1j, 1.0 / amp, 1j, -1j]
+    )
+    cols = gram[_ROWS]
+    jtj = (coef.conj()[:, None] * coef * cols[:, _ROWS]).real
+    return jtj, (coef.conj() * cols[:, 5]).real
+
+
 def _refine(f, z, p0, x_scale, f_center):
     """Levenberg-Marquardt fit of all seven parameters from ``p0``: the
-    parameters, the cost 0.5*|r|^2 and the Jacobian there.
+    parameters, the cost 0.5*|r|^2 and JtJ in ``x_scale`` units there.
 
     Steps are in ``x_scale`` units, damped by lam*diag(JtJ) with Nielsen's
     update of lam; a trial point with a non-finite residual is rejected.
+    The LM stops at a step below _TOL of the point, at an accepted gain
+    below _TOL of the cost, or, before a trial evaluation, when the gain
+    the linearized model predicts is below _TOL of the cost.
     """
     # The environment phase is referenced to the span center: with the
     # f = 0 convention, phase0 and tau are degenerate through a lever arm
@@ -305,66 +350,44 @@ def _refine(f, z, p0, x_scale, f_center):
     # attainable residual.
     w = 2.0 * np.pi * (f - f_center)
     stall = "notch refinement did not converge: "
-
-    def model(p):
-        # residual as interleaved (re, im) pairs, and the parts jac_t reuses
-        fr, ql, qc, phi, amp, ph_c, tau = p
-        env = amp * np.exp(1j * (ph_c - w * tau))
-        detune = 1.0 + 2j * ql * (f / fr - 1.0)
-        notch = env * ((ql / qc) * np.exp(1j * phi)) / detune
-        m = env - notch
-        return (m - z).view(float), (notch, detune, m)
-
-    def jac_t(p, parts):
-        # transposed Jacobian: row k is d(residual)/d(p_k), interleaved alike
-        fr, ql, qc, _, amp, _, _ = p
-        notch, detune, m = parts
-        q = notch / detune
-        rows = np.empty((len(p), f.size), dtype=complex)
-        rows[0] = (-2j * ql / (fr * fr)) * f * q
-        rows[1] = -q / ql
-        rows[2] = notch / qc
-        rows[3] = -1j * notch
-        rows[4] = m / amp
-        rows[5] = 1j * m
-        rows[6] = -1j * w * m
-        out = rows.view(float)
-        if not np.isfinite(out).all():
-            raise FitError(stall + "non-finite Jacobian")
-        return out
-
     budget = MAX_ITER * (len(p0) + 1)
-    scale2 = np.outer(x_scale, x_scale)
     with np.errstate(all="ignore"):
-        x, (r, parts) = p0, model(p0)
-        cost, nfev, lam, nu = _half_sq(r), 1, 1e-3, 2.0
+        x, (r, parts) = p0, _notch_residual(f, w, z, p0)
+        cost, nfev, lam, nu, done = _half_sq(r), 1, 1e-3, 2.0, False
         while True:
-            jt = jac_t(x, parts)
-            # normal equations in x_scale units
-            a, g = (jt @ jt.T) * scale2, (jt @ r) * x_scale
+            a, g = _normal_equations(f, w, x, parts, x_scale)
+            # also non-finite when a coefficient is: 1/amp at amp = 0
+            if not np.isfinite(a).all():
+                raise FitError(stall + "non-finite Jacobian")
+            if done:
+                return x, cost, a
             diag = a.diagonal()
             while True:
                 try:
                     step = np.linalg.solve(a + np.diag(lam * diag), -g)
                 except np.linalg.LinAlgError:
                     raise FitError(stall + "singular normal equations") from None
-                if np.linalg.norm(step) <= _TOL * np.linalg.norm(x / x_scale):
-                    return x, cost, jt.T
+                # the gain the linearized model predicts (Madsen, Nielsen &
+                # Tingleff 2004); below _TOL of the cost, rounding noise in g
+                # makes trial steps losses until lam has grown enough
+                pred = 0.5 * (step @ (lam * diag * step - g))
+                if pred <= _TOL * cost or (
+                    np.linalg.norm(step) <= _TOL * np.linalg.norm(x / x_scale)
+                ):
+                    return x, cost, a
                 if nfev >= budget:
                     raise FitError(stall + f"{budget} evaluations exhausted")
                 x_new = x + step * x_scale
-                r_new, parts_new = model(x_new)
+                r_new, parts_new = _notch_residual(f, w, z, x_new)
                 cost_new, nfev = _half_sq(r_new), nfev + 1
                 gain = cost - cost_new
                 if gain > 0.0:  # False for a non-finite trial point
                     break
                 lam, nu = lam * nu, 2.0 * nu
-            # numpy scalar: a vanishing predicted gain gives inf, not an error
-            rho = gain / (0.5 * (step @ (lam * diag * step - g)))
+            rho = gain / pred
             lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
             x, r, parts, cost = x_new, r_new, parts_new, cost_new
-            if gain <= _TOL * (cost + gain):
-                return x, cost, jac_t(x, parts).T
+            done = gain <= _TOL * (cost + gain)
 
 
 def fit_notch(trace: S21Trace) -> NotchFitResult:
@@ -431,7 +454,7 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
     p0 = np.array([fr0, ql0, qc0, phi0, amp0, phase_c0, delay.tau_s])
     tau_scale = max(abs(delay.tau_s), 1.0 / (2.0 * math.pi * (f[-1] - f[0])))
     x_scale = np.array([fr0, ql0, qc0, 1.0, amp0, 1.0, tau_scale])
-    x, cost, jac = _refine(f, z, p0, x_scale, f_center)
+    x, cost, jtj = _refine(f, z, p0, x_scale, f_center)
 
     fr, ql, qc, phi, amp, ph_c, tau = x
     ph0 = ph_c + 2.0 * math.pi * f_center * tau
@@ -467,11 +490,11 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
     dof = max(m - len(x), 1)
     ssr = 2.0 * cost
     s2 = ssr / dof
-    jtj = jac.T @ jac
     try:
-        cov = s2 * np.linalg.inv(jtj)
+        cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
-        cov = s2 * np.linalg.pinv(jtj)
+        cov = np.linalg.pinv(jtj)
+    cov = s2 * cov * np.outer(x_scale, x_scale)
     perr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     stderr = dict(zip(PARAM_NAMES, (float(e) for e in perr)))
     stderr["amp"] *= scale

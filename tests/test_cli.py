@@ -784,22 +784,26 @@ def test_cli_runs_without_scipy(tmp_path, sweep_setup):
 
 
 def test_fit_output_does_not_depend_on_blas_threads(tmp_path):
-    # 12001 points: the LM cost sums 24002 residuals, more than OpenBLAS
-    # sums on one thread in a single dot product
+    # 16001 points: the LM cost sums 32002 residuals, more than OpenBLAS
+    # sums on one thread in a single dot product, and the normal equations'
+    # Gram matrix spans 16001 columns, more than it multiplies on one thread
     p = NotchParams(fr_hz=5.95e9, ql=7e4, qc_mag=1e5, phi_rad=0.15, tau_s=10e-9)
     path = tmp_path / "long.csv"
-    write_s21_csv(path, synth_trace(p, default_grid(p, n=12001), 1e-3, seed=0))
+    write_s21_csv(path, synth_trace(p, default_grid(p, n=16001), 1e-3, seed=0))
     src = Path(cli.__file__).resolve().parents[1]
-    outs = [
-        subprocess.run(
+    outs = []
+    for threads in ("1", "2", None):  # None: OpenBLAS's default, a thread per CPU
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        outs.append(subprocess.run(
             [sys.executable, "-m", "cpwloss.cli", "fit", str(path)],
-            capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
-        ).stdout
-        for threads in ("1", "2")
-    ]
-    assert json.loads(outs[0])["n_points"] == 12001
-    assert outs[0] == outs[1]
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout)
+    assert json.loads(outs[0])["n_points"] == 16001
+    assert outs[0] == outs[1] == outs[2]
 
 
 PHOTON_Q = ("--ql", "7e4", "--qc", "1e5", "--qi", "2.5e5")

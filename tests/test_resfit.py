@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from cpwloss import resfit
 from cpwloss.errors import FitError
+from cpwloss.pipeline.config import config_from_dict
+from cpwloss.pipeline.forward import calibrate_sweep_config, synth_sweep
+from cpwloss.pipeline.io import ingest_s21
 from conftest import default_grid
 
 
@@ -29,6 +32,22 @@ def draw_params(rng) -> resfit.NotchParams:
             phase0_rad=rng.uniform(-math.pi, math.pi),
             tau_s=rng.uniform(0.0, 100e-9),
         )
+
+
+def jacobian_reference(f, w, p):
+    """The explicit Jacobian of the residual of ``resfit._refine``,
+    transposed: row k is d(residual)/d(p_k) as interleaved (re, im) pairs."""
+    fr, ql, qc, phi, amp, ph_c, tau = p
+    env = amp * np.exp(1j * (ph_c - w * tau))
+    detune = 1.0 + 2j * ql * (f / fr - 1.0)
+    notch = env * ((ql / qc) * np.exp(1j * phi)) / detune
+    m = env - notch
+    q = notch / detune
+    rows = [
+        (-2j * ql / (fr * fr)) * f * q, -q / ql, notch / qc, -1j * notch,
+        m / amp, 1j * m, -1j * w * m,
+    ]
+    return np.array(rows).view(float)
 
 
 def assert_recovered(p: resfit.NotchParams, r: resfit.NotchFitResult, rel=1e-3):
@@ -207,6 +226,57 @@ class TestFitNotch:
             p0[k] = value
             with pytest.raises(FitError, match=reason):
                 resfit._refine(f, z, p0, np.ones(7), f.mean())
+
+    def test_gram_normal_equations_match_the_jacobian(self):
+        rng = np.random.default_rng(11)
+        # the last trace spans more than two Gram chunks
+        sizes = (1001, 1001, 1001, 201, 2 * resfit._GRAM_CHUNK + 17)
+        for n in sizes:
+            p = draw_params(rng)
+            f = default_grid(p, n=n)
+            z = resfit.synth_trace(p, f, 1e-3, seed=n).s21
+            f_center = 0.5 * (f[0] + f[-1])
+            w = 2.0 * np.pi * (f - f_center)
+            ph_c = p.phase0_rad - 2.0 * np.pi * f_center * p.tau_s
+            truth = np.array([p.fr_hz, p.ql, p.qc_mag, p.phi_rad, p.amp, ph_c, p.tau_s])
+            # off the minimum, so that Jtr is not noise: fr by a tenth of a
+            # linewidth, the others by about 1%
+            x = truth * rng.uniform(0.99, 1.01, 7) + [0.1 * p.fr_hz / p.ql, 0, 0, 0.01, 0, 0.01, 0]
+            x_scale = np.array([p.fr_hz, p.ql, p.qc_mag, 1.0, p.amp, 1.0, 1e-9])
+            r, parts = resfit._notch_residual(f, w, z, x)
+            jtj, jtr = resfit._normal_equations(f, w, x, parts, x_scale)
+            jac = jacobian_reference(f, w, x)
+            ref_jtj = (jac @ jac.T) * np.outer(x_scale, x_scale)
+            ref_jtr = (jac @ r) * x_scale
+            assert np.linalg.norm(jtj - ref_jtj) <= 1e-12 * np.linalg.norm(ref_jtj)
+            assert np.linalg.norm(jtr - ref_jtr) <= 1e-12 * np.linalg.norm(ref_jtr)
+
+    def test_refinement_evaluations_on_the_calibrated_sweep(self, tmp_path, monkeypatch):
+        # the LM stops before a trial step whose predicted gain is below _TOL
+        # of the cost, which near the minimum is rounding noise: such steps
+        # were rejected one after another and took the mean to 6.7
+        costs, returned = [], []
+        half_sq, refine = resfit._half_sq, resfit._refine
+
+        def counted(r):
+            costs[-1].append(half_sq(r))
+            return costs[-1][-1]
+
+        def recorded(*args):
+            costs.append([])
+            out = refine(*args)
+            returned.append(out[1])
+            return out
+
+        monkeypatch.setattr(resfit, "_half_sq", counted)
+        monkeypatch.setattr(resfit, "_refine", recorded)
+        paths = synth_sweep(config_from_dict(calibrate_sweep_config()), tmp_path)
+        for path in paths:
+            resfit.fit_notch(ingest_s21(path))
+        assert len(returned) == len(paths) == 30
+        assert np.mean([len(c) for c in costs]) <= 4.5
+        # no fit returns a point worse than one it evaluated
+        assert returned == [min(c) for c in costs]
 
     def test_round_trip_random_draws(self):
         rng = np.random.default_rng(2024)
