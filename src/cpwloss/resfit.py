@@ -32,7 +32,7 @@ PARAM_NAMES = ("fr_hz", "ql", "qc_mag", "phi_rad", "amp", "phase0_rad", "tau_s")
 
 # LM iteration budget: MAX_ITER * (n_params + 1) residual evaluations
 MAX_ITER = 200
-_TOL = 1e-12  # LM stops at this relative cost reduction or step size
+_TOL = 1e-12  # LM stops at this relative step size, or cost reduction made or predicted
 
 
 def median(values) -> float:
@@ -176,11 +176,13 @@ def _phase_slope(f: np.ndarray, z: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of unwrapped phase vs frequency, and its variance."""
     theta = np.unwrap(np.angle(z))
     fm = f - f.mean()
-    sxx = float(np.dot(fm, fm))
-    slope = float(np.dot(fm, theta - theta.mean())) / sxx
+    # numpy's pairwise sums, not BLAS dot products: a long one would be
+    # split across BLAS threads, and its rounding would depend on their count
+    sxx = float(np.sum(fm * fm))
+    slope = float(np.sum(fm * (theta - theta.mean()))) / sxx
     resid = theta - theta.mean() - slope * fm
     dof = max(len(f) - 2, 1)
-    var = float(np.dot(resid, resid)) / dof / sxx
+    var = float(np.sum(resid * resid)) / dof / sxx
     return slope, var
 
 

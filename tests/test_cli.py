@@ -786,24 +786,26 @@ def test_cli_runs_without_scipy(tmp_path, sweep_setup):
 def test_fit_output_does_not_depend_on_blas_threads(tmp_path):
     # 16001 points: the LM cost sums 32002 residuals, more than OpenBLAS
     # sums on one thread in a single dot product, and the normal equations'
-    # Gram matrix spans 16001 columns, more than it multiplies on one thread
+    # Gram matrix spans 16001 columns, more than it multiplies on one thread;
+    # 110001 points: the delay estimate's wings hold 11000 points each
     p = NotchParams(fr_hz=5.95e9, ql=7e4, qc_mag=1e5, phi_rad=0.15, tau_s=10e-9)
-    path = tmp_path / "long.csv"
-    write_s21_csv(path, synth_trace(p, default_grid(p, n=16001), 1e-3, seed=0))
     src = Path(cli.__file__).resolve().parents[1]
-    outs = []
-    for threads in ("1", "2", None):  # None: OpenBLAS's default, a thread per CPU
-        env = dict(os.environ, PYTHONPATH=str(src))
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            env.pop(name, None)
-        if threads:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        outs.append(subprocess.run(
-            [sys.executable, "-m", "cpwloss.cli", "fit", str(path)],
-            capture_output=True, text=True, check=True, env=env,
-        ).stdout)
-    assert json.loads(outs[0])["n_points"] == 16001
-    assert outs[0] == outs[1] == outs[2]
+    for n in (16001, 110001):
+        path = tmp_path / f"long{n}.csv"
+        write_s21_csv(path, synth_trace(p, default_grid(p, n=n), 1e-3, seed=0))
+        outs = []
+        for threads in ("1", "2", None):  # None: OpenBLAS's default, a thread per CPU
+            env = dict(os.environ, PYTHONPATH=str(src))
+            for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(name, None)
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            outs.append(subprocess.run(
+                [sys.executable, "-m", "cpwloss.cli", "fit", str(path)],
+                capture_output=True, text=True, check=True, env=env,
+            ).stdout)
+        assert json.loads(outs[0])["n_points"] == n
+        assert outs[0] == outs[1] == outs[2]
 
 
 PHOTON_Q = ("--ql", "7e4", "--qc", "1e5", "--qi", "2.5e5")
