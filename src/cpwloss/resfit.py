@@ -300,8 +300,7 @@ def _half_sq(r: np.ndarray) -> float:
 
 
 def _notch_residual(f, w, z, p):
-    """The residual at ``p`` as interleaved (re, im) pairs, and the parts
-    :func:`_normal_equations` reuses; ``w`` is 2 pi (f - f_center)."""
+    """The residual at ``p`` as interleaved (re, im) pairs, and its parts."""
     fr, ql, qc, phi, amp, ph_c, tau = p
     env = amp * np.exp(1j * (ph_c - w * tau))
     detune = 1.0 + 2j * ql * (f / fr - 1.0)
@@ -356,6 +355,8 @@ def _refine(f, z, p0, x_scale, f_center):
     with np.errstate(all="ignore"):
         x, (r, parts) = p0, _notch_residual(f, w, z, p0)
         cost, nfev, lam, nu, done = _half_sq(r), 1, 1e-3, 2.0, False
+        if not math.isfinite(cost):  # then no trial point can gain
+            raise FitError(stall + "non-finite residual at the start")
         while True:
             a, g = _normal_equations(f, w, x, parts, x_scale)
             # also non-finite when a coefficient is: 1/amp at amp = 0
@@ -373,9 +374,8 @@ def _refine(f, z, p0, x_scale, f_center):
                 # Tingleff 2004); below _TOL of the cost, rounding noise in g
                 # makes trial steps losses until lam has grown enough
                 pred = 0.5 * (step @ (lam * diag * step - g))
-                if pred <= _TOL * cost or (
-                    np.linalg.norm(step) <= _TOL * np.linalg.norm(x / x_scale)
-                ):
+                small = np.linalg.norm(step) <= _TOL * np.linalg.norm(x / x_scale)
+                if small or pred <= _TOL * cost:
                     return x, cost, a
                 if nfev >= budget:
                     raise FitError(stall + f"{budget} evaluations exhausted")

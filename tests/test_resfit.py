@@ -227,6 +227,17 @@ class TestFitNotch:
             with pytest.raises(FitError, match=reason):
                 resfit._refine(f, z, p0, np.ones(7), f.mean())
 
+    def test_refine_rejects_a_start_of_infinite_cost(self, operating_point):
+        # |r|^2 overflows at every point, so no trial step can gain; the
+        # noise-floor stop must not return the start as converged
+        p = operating_point
+        f = default_grid(p, n=201)
+        z = resfit.model_s21(p, f)
+        z[100] = 1e200
+        start = np.array([p.fr_hz, p.ql, p.qc_mag, p.phi_rad, p.amp, p.phase0_rad, 0.0])
+        with pytest.raises(FitError, match="non-finite residual"):
+            resfit._refine(f, z, start, np.ones(7), f.mean())
+
     def test_gram_normal_equations_match_the_jacobian(self):
         rng = np.random.default_rng(11)
         # the last trace spans more than two Gram chunks
