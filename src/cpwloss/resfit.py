@@ -388,7 +388,7 @@ def _refine(f, z, p0, x_scale, f_center):
                 lam, nu = lam * nu, 2.0 * nu
             rho = gain / pred
             lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
-            x, r, parts, cost = x_new, r_new, parts_new, cost_new
+            x, parts, cost = x_new, parts_new, cost_new
             done = gain <= _TOL * (cost + gain)
 
 

@@ -264,8 +264,8 @@ class TestFitNotch:
 
     def test_refinement_evaluations_on_the_calibrated_sweep(self, tmp_path, monkeypatch):
         # the LM stops before a trial step whose predicted gain is below _TOL
-        # of the cost, which near the minimum is rounding noise: such steps
-        # were rejected one after another and took the mean to 6.7
+        # of the cost; near the minimum such steps are rounding noise, and
+        # without the stop they are rejected one after another (mean 6.7)
         costs, returned = [], []
         half_sq, refine = resfit._half_sq, resfit._refine
 
