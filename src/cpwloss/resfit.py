@@ -8,7 +8,7 @@ The transmission of a resonator side-coupled to a feedline is modelled as
 (diameter-corrected notch form). Fitting proceeds through the usual seeded
 pipeline: cable-delay estimate from the off-resonant wings, algebraic
 (Taubin) circle fit, a closed-form seed of fr, Ql and the environment from
-the circle and its centered phase, then one joint Levenberg-Marquardt
+the circle and its centered phase, then one joint :func:`levenberg_marquardt`
 refinement of all seven parameters on the stacked real/imaginary residuals,
 with normal equations from one complex Gram matrix, stopping once the gain it
 predicts falls below the rounding noise of the cost.
@@ -154,7 +154,6 @@ def synth_trace(
     noise_sigma: float = 0.0,
     seed: int = 0,
     temperature_k: float | None = None,
-    power_dbm: float | None = None,
 ) -> S21Trace:
     """Model trace plus independent complex Gaussian noise (sigma per quadrature).
 
@@ -169,7 +168,7 @@ def synth_trace(
         z = z + noise_sigma * (
             rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)
         )
-    return S21Trace(f, z, temperature_k=temperature_k, power_dbm=power_dbm)
+    return S21Trace(f, z, temperature_k=temperature_k)
 
 
 def _phase_slope(f: np.ndarray, z: np.ndarray) -> tuple[float, float]:
@@ -333,35 +332,29 @@ def _normal_equations(f, w, p, parts, x_scale):
     return jtj, (coef.conj() * cols[:, 5]).real
 
 
-def _refine(f, z, p0, x_scale, f_center):
-    """Levenberg-Marquardt fit of all seven parameters from ``p0``: the
-    parameters, the cost 0.5*|r|^2 and JtJ in ``x_scale`` units there.
+def levenberg_marquardt(residual, normal_equations, x0, x_scale, max_evals):
+    """Levenberg-Marquardt minimum of 0.5*|r|^2 from ``x0``: the point, the
+    cost there and JtJ in ``x_scale`` units.
 
-    Steps are in ``x_scale`` units, damped by lam*diag(JtJ) with Nielsen's
-    update of lam; a trial point with a non-finite residual is rejected.
-    The LM stops at a step below _TOL of the point, at an accepted gain
-    below _TOL of the cost, or, before a trial evaluation, when the gain
-    the linearized model predicts is below _TOL of the cost.
+    ``residual(x)`` returns the real residuals r and a state from which
+    ``normal_equations(x, state)`` returns JtJ and Jtr of dr/d(x/x_scale).
+    Steps are damped by lam*diag(JtJ) with Nielsen's update of lam; a trial
+    point with a non-finite residual is rejected. The LM stops at a step
+    below _TOL of the point, at an accepted gain below _TOL of the cost, or,
+    before a trial evaluation, when the gain the linearized model predicts
+    is below _TOL of the cost. FitError gives the reason it did not
+    converge within ``max_evals`` residual evaluations.
     """
-    # The environment phase is referenced to the span center: with the
-    # f = 0 convention, phase0 and tau are degenerate through a lever arm
-    # of order f/span and LM crawls along the resulting sliver valley.
-    # The Jacobian is analytic; finite differences leave enough noise in
-    # the normal equations for LM to stall orders of magnitude above the
-    # attainable residual.
-    w = 2.0 * np.pi * (f - f_center)
-    stall = "notch refinement did not converge: "
-    budget = MAX_ITER * (len(p0) + 1)
     with np.errstate(all="ignore"):
-        x, (r, parts) = p0, _notch_residual(f, w, z, p0)
+        x, (r, state) = x0, residual(x0)
         cost, nfev, lam, nu, done = _half_sq(r), 1, 1e-3, 2.0, False
         if not math.isfinite(cost):  # then no trial point can gain
-            raise FitError(stall + "non-finite residual at the start")
+            raise FitError("non-finite residual at the start")
         while True:
-            a, g = _normal_equations(f, w, x, parts, x_scale)
-            # also non-finite when a coefficient is: 1/amp at amp = 0
+            a, g = normal_equations(x, state)
+            # also non-finite when a coefficient of the Jacobian is
             if not np.isfinite(a).all():
-                raise FitError(stall + "non-finite Jacobian")
+                raise FitError("non-finite Jacobian")
             if done:
                 return x, cost, a
             diag = a.diagonal()
@@ -369,7 +362,7 @@ def _refine(f, z, p0, x_scale, f_center):
                 try:
                     step = np.linalg.solve(a + np.diag(lam * diag), -g)
                 except np.linalg.LinAlgError:
-                    raise FitError(stall + "singular normal equations") from None
+                    raise FitError("singular normal equations") from None
                 # the gain the linearized model predicts (Madsen, Nielsen &
                 # Tingleff 2004); below _TOL of the cost, rounding noise in g
                 # makes trial steps losses until lam has grown enough
@@ -377,10 +370,10 @@ def _refine(f, z, p0, x_scale, f_center):
                 small = np.linalg.norm(step) <= _TOL * np.linalg.norm(x / x_scale)
                 if small or pred <= _TOL * cost:
                     return x, cost, a
-                if nfev >= budget:
-                    raise FitError(stall + f"{budget} evaluations exhausted")
+                if nfev >= max_evals:
+                    raise FitError(f"{max_evals} evaluations exhausted")
                 x_new = x + step * x_scale
-                r_new, parts_new = _notch_residual(f, w, z, x_new)
+                r_new, state_new = residual(x_new)
                 cost_new, nfev = _half_sq(r_new), nfev + 1
                 gain = cost - cost_new
                 if gain > 0.0:  # False for a non-finite trial point
@@ -388,8 +381,27 @@ def _refine(f, z, p0, x_scale, f_center):
                 lam, nu = lam * nu, 2.0 * nu
             rho = gain / pred
             lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
-            x, parts, cost = x_new, parts_new, cost_new
+            x, state, cost = x_new, state_new, cost_new
             done = gain <= _TOL * (cost + gain)
+
+
+def _refine(f, z, p0, x_scale, f_center):
+    """:func:`levenberg_marquardt` fit of the seven notch parameters from ``p0``."""
+    # The environment phase is referenced to the span center: with the
+    # f = 0 convention, phase0 and tau are degenerate through a lever arm
+    # of order f/span and LM crawls along the resulting sliver valley.
+    # The Jacobian is analytic; finite differences leave enough noise in
+    # the normal equations for LM to stall orders of magnitude above the
+    # attainable residual.
+    w = 2.0 * np.pi * (f - f_center)
+    try:
+        return levenberg_marquardt(
+            lambda x: _notch_residual(f, w, z, x),
+            lambda x, parts: _normal_equations(f, w, x, parts, x_scale),
+            p0, x_scale, MAX_ITER * (len(p0) + 1),
+        )
+    except FitError as exc:
+        raise FitError(f"notch refinement did not converge: {exc}") from None
 
 
 def fit_notch(trace: S21Trace) -> NotchFitResult:

@@ -42,14 +42,16 @@ class TestScattering:
         assert s21 == pytest.approx(0.25, rel=1e-12)
         assert s11 == pytest.approx(0.25, rel=1e-12)
 
-    @given(st.floats(min_value=1e3, max_value=1e6))
+    @given(
+        st.floats(min_value=1e3, max_value=1e6),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
     @settings(max_examples=40)
-    def test_energy_bound_below_half_coupling(self, qc):
-        # for Ql <= |Qc|/2 the approximations respect |S21|^2+|S11|^2 <= 1
-        s21, s11 = photon.scattering_mags(qc / 2.0, qc)
-        assert s21**2 + s11**2 <= 1.0
-        s21, s11 = photon.scattering_mags(qc / 10.0, qc)
-        assert s21**2 + s11**2 <= 1.0
+    def test_energy_bound_below_half_coupling(self, qc, x):
+        # for Ql <= |Qc| the approximations respect |S21|^2+|S11|^2 <= 1
+        for ql in (qc / 2.0, qc / 10.0, x * qc):
+            s21, s11 = photon.scattering_mags(ql, qc)
+            assert s21**2 + s11**2 <= 1.0
 
     def test_overcoupled_regime_flagged(self):
         # slightly above |Qc| the pair violates energy conservation and
@@ -125,28 +127,10 @@ class TestBudgetAndInversion:
         p10 = photon.power_for_photons(10.0, self.QI, ql, self.QC, self.F)
         assert p10 - p1 == pytest.approx(10.0, abs=1e-9)
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            photon.PowerBudget(
-                p_vna_dbm=-25.0, p_att_db=-110.0, p_in_dbm=-130.0,
-                p_loss_w=0.0, s21_mag=0.5, s11_mag=0.5, n_ph=0.0,
-            )
-        with pytest.raises(ValueError):
-            photon.PowerBudget(
-                p_vna_dbm=0.0, p_att_db=0.0, p_in_dbm=0.0,
-                p_loss_w=0.0, s21_mag=0.9, s11_mag=0.9, n_ph=0.0,
-            )
-
-    def test_budget_overflow_is_value_error(self):
-        # a finite magnitude whose square is past the float range
-        for mags in ((1e200, 0.0), (0.0, 1e200)):
-            with pytest.raises(ValueError, match="overflows"):
-                photon.PowerBudget(
-                    p_vna_dbm=0.0, p_att_db=0.0, p_in_dbm=0.0,
-                    p_loss_w=0.0, s21_mag=mags[0], s11_mag=mags[1], n_ph=0.0,
-                )
-
     def test_degenerate_inversion_rejected(self):
         # Ql so small that |S21| rounds to exactly 1: zero loss fraction
         with pytest.raises(ValueError):
             photon.power_for_photons(1.0, 1e5, 1e-12, 1e5, self.F)
+        # Ql = |Qc|, where |S11| = 1: zero photons per watt, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="zero or negative loss fraction"):
+            photon.power_for_photons(1.0, 1e5, 1e5, 1e5, self.F)

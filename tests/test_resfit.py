@@ -194,6 +194,100 @@ class TestCircleFit:
             resfit.circle_fit(np.linspace(0, 1, 20) + 0.5j)
 
 
+def least_squares(residual, jacobian, x0, max_evals=1000):
+    """``resfit.levenberg_marquardt`` on unit scales, with the normal
+    equations of an explicit Jacobian."""
+
+    def normal_equations(x, r):
+        jac = jacobian(x)
+        return jac.T @ jac, jac.T @ r
+
+    def with_state(x):
+        r = residual(x)
+        return r, r
+
+    x0 = np.asarray(x0, dtype=float)
+    return resfit.levenberg_marquardt(
+        with_state, normal_equations, x0, np.ones(x0.size), max_evals
+    )
+
+
+def rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rosenbrock_jacobian(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+class TestLevenbergMarquardt:
+    def test_rosenbrock(self):
+        x, cost, jtj = least_squares(rosenbrock, rosenbrock_jacobian, [-1.2, 1.0])
+        assert np.abs(x - 1.0).max() <= 1e-8
+        assert cost <= 1e-16
+        np.testing.assert_array_equal(
+            jtj, rosenbrock_jacobian(x).T @ rosenbrock_jacobian(x)
+        )
+
+    def test_exponential_decay(self):
+        t = np.linspace(0.0, 5.0, 50)
+        y = 2.5 * np.exp(-0.7 * t)
+
+        def jacobian(p):
+            e = np.exp(-p[1] * t)
+            return np.column_stack([e, -p[0] * t * e])
+
+        def residual(p):
+            return p[0] * np.exp(-p[1] * t) - y
+
+        x, _, _ = least_squares(residual, jacobian, [1.0, 0.2])
+        assert x[0] == pytest.approx(2.5, rel=1e-10)
+        assert x[1] == pytest.approx(0.7, rel=1e-10)
+        # with a residual left at the minimum, against Gauss-Newton steps
+        # by np.linalg.lstsq polished to their fixed point
+        y = y + 1e-2 * np.cos(7.0 * t)
+        x, cost, _ = least_squares(residual, jacobian, [1.0, 0.2])
+        ref = x.copy()
+        for _ in range(20):
+            ref -= np.linalg.lstsq(jacobian(ref), residual(ref), rcond=None)[0]
+        np.testing.assert_allclose(x, ref, rtol=1e-8)
+        assert cost <= 0.5 * np.sum(residual(ref) ** 2) * (1.0 + 1e-12)
+
+    def test_failure_reasons(self):
+        def infinite(x):
+            return x * np.inf
+
+        def not_a_number(x):
+            return np.full((2, 2), np.nan)
+
+        def linear(x):  # in x[0] alone: the Jacobian's second column is zero
+            return np.array([x[0] - 1.0, 2.0 * x[0] - 3.0])
+
+        def zero_column(x):
+            return np.array([[1.0, 0.0], [2.0, 0.0]])
+
+        cases = (
+            ("non-finite residual at the start", infinite, rosenbrock_jacobian),
+            ("non-finite Jacobian", rosenbrock, not_a_number),
+            ("singular normal equations", linear, zero_column),
+        )
+        for reason, residual, jacobian in cases:
+            with pytest.raises(FitError, match=f"^{reason}$"):
+                least_squares(residual, jacobian, [-1.2, 1.0])
+
+    @pytest.mark.parametrize("max_evals", [1, 5])
+    def test_budget_counts_every_residual_evaluation(self, max_evals):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return rosenbrock(x)
+
+        with pytest.raises(FitError, match=f"^{max_evals} evaluations exhausted$"):
+            least_squares(counted, rosenbrock_jacobian, [-1.2, 1.0], max_evals)
+        assert len(calls) == max_evals
+
+
 class TestFitNotch:
     def test_reference_operating_point_noiseless(self, operating_point):
         f = default_grid(operating_point)
