@@ -11,8 +11,8 @@ Identical analyses produce byte-identical files: one cell rule writes every
 scalar (``_number``), JSON is laid out as ``json.dumps(indent=2)`` lays it
 out, key order is fixed, and entries are sorted by temperature. CSV schemas
 are versioned in the report's provenance block. A large table is formatted
-in row blocks on the forked workers of ``parallel.ordered_map``, with the
-same text.
+in row blocks on the processes of ``parallel.ordered_map``, with the same
+text.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _cells(column, cell) -> list[str]:
 
 def _table(columns: dict, fmt: str, mapped: bool) -> str:
     """The text of ``table_text``; the rows in one contiguous block per
-    worker of ``parallel.ordered_map`` when ``mapped``, else in one block."""
+    process of ``parallel.ordered_map`` when ``mapped``, else in one block."""
     names = [encode_basestring_ascii(name) for name in columns]  # str names only
     cell = _json_cell if fmt == "json" else _csv_cell
     if fmt == "csv":
@@ -162,8 +162,8 @@ def table_text(columns: dict, fmt: str) -> str:
     is made.
 
     A table that weighs enough for the size rule of ``parallel.ordered_map``
-    is formatted on forked workers, one contiguous block of rows each, and
-    the blocks are joined in order: the same text as in this process. Like
+    is formatted in one contiguous block of rows per process, this one and
+    forked workers, joined in order: the same text as in one process. Like
     ``sweep_analyze``, it is then safe only while no other thread runs. A
     name that is not a str raises TypeError here, before any fork; a cell
     that is not a JSON or CSV cell raises TypeError, from the first block

@@ -5,13 +5,13 @@ written to files first, by ``forward.synth_sweep``) and the one
 ``AnalysisConfig``. It makes one pass per file, as one map: read the bytes,
 take their sha256, parse the trace and fit it, unless the trace is untagged
 or tagged at or below 0 K or at or above Tc. Files are independent, so the
-map runs on forked worker processes when they are large enough to pay for
-them (see :mod:`.parallel`); a worker sends back each trace's tags, digest
-and fit, never its arrays. The set-aside traces become failure entries, and
-the checks that the rest make one sweep come after the map. Results are
-merged in ascending temperature order, and a fit's bits do not depend on
-the process it ran in, so the report is the same either way. After the
-fits, the theory chain, the loss budget and the excess loss are each one
+map runs on this process and forked workers when they are large enough to
+pay for them (see :mod:`.parallel`); a worker sends back each trace's tags,
+digest and fit, never its arrays. The set-aside traces become failure
+entries, and the checks that the rest make one sweep come after the map.
+Results are merged in ascending temperature order, and a fit's bits do not
+depend on the process it ran in, so the report is the same either way. After
+the fits, the theory chain, the loss budget and the excess loss are each one
 array call over the fitted temperatures; no step loops over temperatures.
 The results stay arrays over those temperatures in the ``AnalysisReport``;
 the report writer alone turns them into per-temperature rows.
@@ -153,19 +153,18 @@ def sweep_analyze(paths: list[str | Path], config: AnalysisConfig) -> AnalysisRe
     """Read and fit every trace file and decompose the loss budget per temperature.
 
     Each file is read by its suffix (``io.ingest_s21``), hashed and fitted
-    in one step of one map, on the worker pool when the files are large
-    enough. The report's provenance names the tool, its version and the
-    config digest, and lists each file's path and sha256 in input order.
-    Traces at or below 0 K, at or above the
-    film's Tc and untagged ones are set aside unfitted; they and the
-    unfittable traces degrade to failure entries, and the analysis fails
-    only when no trace fits. The material, geometry and tls sections of
-    ``config`` are required. The reference trace is the coldest successful
-    one, or, with ``fit.t_ref_kelvin`` set, the successful trace nearest
-    that temperature. The theory chain (conductivity, surface impedance,
-    TLS) is evaluated at the reference trace's fitted resonance frequency,
-    once over all fitted temperatures, and ``delta_f_hz`` is measured from
-    it.
+    in one step of one map, in this process or a forked worker when the
+    files are large enough. The report's provenance names the tool, its
+    version and the config digest, and lists each file's path and sha256 in
+    input order. Traces at or below 0 K, at or above the film's Tc and
+    untagged ones are set aside unfitted; they and the unfittable traces
+    degrade to failure entries, and the analysis fails only when no trace
+    fits. The material, geometry and tls sections of ``config`` are
+    required. The reference trace is the coldest successful one, or, with
+    ``fit.t_ref_kelvin`` set, the successful trace nearest that temperature.
+    The theory chain (conductivity, surface impedance, TLS) is evaluated at
+    the reference trace's fitted resonance frequency, once over all fitted
+    temperatures, and ``delta_f_hz`` is measured from it.
     """
     config.require("material", "geometry", "tls")
     tc = config.material.tc_kelvin

@@ -15,7 +15,7 @@ predicts falls below the rounding noise of the cost.
 Qi follows from 1/Qi = 1/Ql - Re(exp(j phi))/|Qc|.
 
 Fits on different traces are independent and safe to run in parallel; a
-sweep runs them on forked worker processes (:mod:`cpwloss.pipeline.parallel`).
+sweep runs them on several processes (:mod:`cpwloss.pipeline.parallel`).
 The synthetic-trace generator is seeded per call and never shares RNG state.
 """
 

@@ -52,7 +52,7 @@ def sweep_dir(tmp_path_factory):
 @pytest.fixture
 def pooled(monkeypatch):
     """Every map of two or more items and bytes runs on at least two
-    workers, also on a one-CPU host; returns the worker counts used."""
+    processes, also on a one-CPU host; returns the process counts used."""
     monkeypatch.setattr(parallel, "MIN_BYTES_PER_WORKER", 1)
     if len(os.sched_getaffinity(0)) < 2:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -163,11 +163,67 @@ def _getpid(_):
 
 
 def test_worker_count_stays_within_the_affinity_mask(pooled):
+    # the caller is one of the processes, and each runs at least one item
     cpus = len(os.sched_getaffinity(0))
     assert parallel.worker_count(10**6, 10**15) == cpus
     assert parallel.worker_count(1, 10**15) == 1
     pids = set(parallel.ordered_map(_getpid, range(64), [10**15] * 64))
-    assert os.getpid() not in pids and len(pids) <= cpus
+    assert os.getpid() in pids and len(pids) == cpus
+
+
+def _pid_and_mask(_):
+    return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_each_process_runs_on_a_cpu_of_its_own(pooled):
+    mask = os.sched_getaffinity(0)
+    masks = dict(parallel.ordered_map(_pid_and_mask, range(64), [10**15] * 64))
+    assert sorted(map(len, masks.values())) == [1] * len(mask)
+    assert set().union(*masks.values()) == mask
+    assert os.sched_getaffinity(0) == mask  # the caller's own mask again
+
+
+def test_interrupt_in_the_callers_share_reaps_every_worker(pooled):
+    # the workers take no more items once the caller's share has failed;
+    # on two CPUs the one worker would otherwise run 199 items of 10 ms
+    caller, mask = os.getpid(), os.sched_getaffinity(0)
+
+    def fn(x):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(0.01)
+        return x
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        parallel.ordered_map(fn, range(200), [10**15] * 200)
+    assert time.monotonic() - start < 0.5
+    assert max(pooled) >= 2 and os.sched_getaffinity(0) == mask
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_more_items_than_one_pipe_buffer_holds():
+    # 20,000 four-byte item numbers would be 80 kB, more than a 64 KiB pipe
+    # takes before it is read
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import os\n"
+        "from cpwloss.pipeline import parallel\n"
+        "parallel.MIN_BYTES_PER_WORKER = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "n = 20000\n"
+        "sizes = [i % 7 for i in range(n)]\n"
+        "out = parallel.ordered_map(lambda x: (x, os.getpid()), range(n), sizes)\n"
+        "print([x for x, _ in out] == list(range(n)), len({pid for _, pid in out}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["True 2"]
 
 
 def test_size_rule_keeps_small_work_in_process():
@@ -215,9 +271,9 @@ def _start_then_sleep(seconds):
 
 
 def test_pool_takes_the_largest_items_first(monkeypatch, pooled):
-    # two workers (10 bytes, 5 per worker); the two largest items are given
-    # last and each holds a worker for 0.3 s, so the two small ones can
-    # start only after both have started
+    # two processes (10 bytes, 5 per process); the two largest items are
+    # given last and each holds a process for 0.3 s, so the two small ones
+    # can start only after both have started
     monkeypatch.setattr(parallel, "MIN_BYTES_PER_WORKER", 5)
     starts = parallel.ordered_map(_start_then_sleep, [0.3] * 4, [1, 2, 3, 4])
     assert pooled == [2]
@@ -225,14 +281,17 @@ def test_pool_takes_the_largest_items_first(monkeypatch, pooled):
 
 
 def test_dead_worker_fails_the_map():
-    # a worker that dies without a result must not leave the caller waiting
+    # a worker that dies without a result must not leave the caller waiting;
+    # the caller's own item returns
     src = Path(cli.__file__).resolve().parents[1]
     probe = (
         "import os\n"
         "from cpwloss.pipeline import parallel\n"
         "parallel.MIN_BYTES_PER_WORKER = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "parallel.ordered_map(os._exit, [3, 3], [10**15] * 2)\n"
+        "caller = os.getpid()\n"
+        "fn = lambda x: x if os.getpid() == caller else os._exit(x)\n"
+        "parallel.ordered_map(fn, [3, 3], [10**15] * 2)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
@@ -276,6 +335,8 @@ def test_worker_never_returns_into_the_caller_and_is_reaped():
 
 
 def test_failed_fork_reaps_the_workers_forked_before(monkeypatch, pooled):
+    # three processes: the caller and two forks, of which the second fails
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     real, forks = os.fork, []
 
     def fork():
@@ -287,7 +348,7 @@ def test_failed_fork_reaps_the_workers_forked_before(monkeypatch, pooled):
     monkeypatch.setattr(os, "fork", fork)
     with pytest.raises(BlockingIOError):
         parallel.ordered_map(_getpid, range(4), [10**15] * 4)
-    assert max(pooled) >= 2
+    assert pooled == [3] and len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -300,7 +361,8 @@ def test_dead_worker_fails_the_cli_with_exit_1(tmp_path, sweep_dir):
         "from cpwloss.pipeline import parallel, sweep\n"
         "parallel.MIN_BYTES_PER_WORKER = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "sweep.fit_notch = lambda trace: os._exit(9)\n"
+        "caller, fit = os.getpid(), sweep.fit_notch\n"
+        "sweep.fit_notch = lambda trace: fit(trace) if os.getpid() == caller else os._exit(9)\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     argv = ["sweep", str(sweep_dir / "traces"), "--config", str(sweep_dir / "config.json"),
@@ -359,13 +421,24 @@ def test_small_tables_never_fork(capsys, tmp_path, sweep_dir, forks):
     assert forks == []
 
 
-@pytest.mark.parametrize("fmt, workers", [("json", 2), ("csv", 0)])
-def test_mb_table_is_weighed_in_text_bytes(capsys, sweep_dir, forks, fmt, workers):
-    # 20,000 rows are 6.5 MB of JSON at most, two workers' worth, and 3.5 MB
+def test_sweep_of_30_traces_of_1001_points_forks_one_worker(capsys, tmp_path, forks):
+    # 1.7 MB of files: the caller and one worker; sweep_dir's 10 traces of
+    # 301 points stay in this process (test_small_tables_never_fork)
+    doc = calibrate_sweep_config()
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    synth_sweep(config_from_dict(doc), tmp_path / "traces")
+    assert len(list((tmp_path / "traces").iterdir())) == 30
+    assert sweep(capsys, tmp_path, tmp_path / "out") == (0, "")
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("fmt, forked", [("json", 1), ("csv", 0)])
+def test_mb_table_is_weighed_in_text_bytes(capsys, sweep_dir, forks, fmt, forked):
+    # 4,000 rows are 1.3 MB of JSON at most, two processes' worth, and 0.7 MB
     # of CSV, which stays in this process
-    argv = ["mb", "--config", str(sweep_dir / "config.json"), "--points", "20000"]
+    argv = ["mb", "--config", str(sweep_dir / "config.json"), "--points", "4000"]
     assert cli.main([*argv, "--format", fmt]) == 0
-    assert len(forks) == workers
+    assert len(forks) == forked
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
