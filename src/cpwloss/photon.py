@@ -61,19 +61,20 @@ def power_loss(p_in_w: float, s21_mag: float, s11_mag: float) -> float:
 
     Raises when the scattering magnitudes violate energy conservation
     (|S21|^2 + |S11|^2 > 1) instead of clamping, so the validity envelope of
-    the on-resonance approximations is surfaced rather than hidden.
+    the on-resonance approximations is surfaced rather than hidden; only a
+    remainder that rounding left below 0 under a sum of at most 1 reads 0.
     """
     if p_in_w < 0:
         raise ValueError("input power must be >= 0")
     if s21_mag < 0 or s11_mag < 0:
         raise ValueError("scattering magnitudes must be >= 0")
-    frac = 1.0 - _square(s21_mag, "|S21|") - _square(s11_mag, "|S11|")
-    if frac < 0:
+    s21_sq, s11_sq = _square(s21_mag, "|S21|"), _square(s11_mag, "|S11|")
+    if s21_sq + s11_sq > 1:
         raise ValueError(
-            f"|S21|^2 + |S11|^2 = {s21_mag**2 + s11_mag**2:.6f} > 1: "
+            f"|S21|^2 + |S11|^2 = {s21_sq + s11_sq:.6f} > 1: "
             "scattering inputs outside the validity range"
         )
-    return p_in_w * frac
+    return p_in_w * max(1.0 - s21_sq - s11_sq, 0.0)
 
 
 def photon_number(qi: float, p_loss_w: float, f_hz: float) -> float:

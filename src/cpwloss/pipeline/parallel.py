@@ -2,15 +2,17 @@
 
 :func:`ordered_map` runs ``fn`` over ``items`` on one process per usable
 CPU, the caller included, as the items and the size rule allow, and returns
-the results in input order. Each process, held on its own CPU, runs one of
-the largest items, the caller the largest, then takes its next block,
-largest first, from one pipe written whole before any fork, until it is
-empty. Each worker, an ``os.fork``, pickles its results down its own pipe
-and leaves through ``os._exit``; no thread is started. Even if its share
-raised, the caller then reads each pipe to its end, reaps each worker and
-takes back its CPU mask; it replays the warnings and raises the first
-exception in item order, as a serial run would. A dead worker fails the map
-with ``ChildProcessError`` (exit 1); a crash in the caller's share ends it.
+the results in input order. A caller cuts its work into items and weighs
+them; the map alone decides how many processes run. Each process, held on
+its own CPU, runs one of the largest items, the caller the largest, then
+takes its next block, largest first, from one pipe written whole before
+any fork, until it is empty. Each worker, an ``os.fork``, pickles its
+results down its own pipe and leaves through ``os._exit``; no thread is
+started. Even if its share raised, the caller then reads each pipe to its
+end, reaps each worker and takes back its CPU mask; it replays the
+warnings and raises the first exception in item order, as a serial run
+would. A dead worker fails the map with ``ChildProcessError`` (exit 1); a
+crash in the caller's share ends it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def ordered_map(fn, items, sizes: list[int]) -> list:
     besides its result may be lost; forking is safe only while no other thread
     runs, as in the CLI. ``sizes`` are the bytes each item reads or writes (a
     sweep's file bytes, a table block's text bytes): the size rule weighs
-    their sum, and the largest items run first."""
+    their sum, and the largest items run first. The map alone chooses how
+    many processes run; a caller only cuts and weighs its items."""
     n = worker_count(len(items), sum(sizes))
     if n < 2:
         return list(map(fn, items))

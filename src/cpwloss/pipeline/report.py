@@ -10,9 +10,9 @@ rows.
 Identical analyses produce byte-identical files: one cell rule writes every
 scalar (``_number``), JSON is laid out as ``json.dumps(indent=2)`` lays it
 out, key order is fixed, and entries are sorted by temperature. CSV schemas
-are versioned in the report's provenance block. A large table is formatted
-in row blocks on the processes of ``parallel.ordered_map``, with the same
-text.
+are versioned in the report's provenance block. Every table is cut into
+row blocks that ``parallel.ordered_map`` formats, on forked workers too
+when the table is large, with the same text.
 """
 
 from __future__ import annotations
@@ -126,9 +126,20 @@ def _cells(column, cell) -> list[str]:
     return [repr(v) if isfinite(v) else null for v in column.tolist()]
 
 
-def _table(columns: dict, fmt: str, mapped: bool) -> str:
-    """The text of ``table_text``; the rows in one contiguous block per
-    process of ``parallel.ordered_map`` when ``mapped``, else in one block."""
+def table_text(columns: dict, fmt: str) -> str:
+    """Equal-length columns, keyed by name, as text with a final newline: a
+    JSON array of one flat object per row, or a CSV header row and one line
+    per row. A column is a float64 array or a list of cells; no row object
+    is made.
+
+    The rows are cut into blocks of at most ``parallel.MIN_BYTES_PER_WORKER``
+    bytes of text, which ``parallel.ordered_map`` formats and this function
+    joins in order: the same text on one process as on many. A table that
+    weighs enough for the map's size rule is then formatted on forked
+    workers as well, so, like ``sweep_analyze``, it is safe only while no
+    other thread runs. A name that is not a str raises TypeError here,
+    before any fork; a cell that is not a JSON or CSV cell raises
+    TypeError, from the first block that holds one."""
     names = [encode_basestring_ascii(name) for name in columns]  # str names only
     cell = _json_cell if fmt == "json" else _csv_cell
     if fmt == "csv":
@@ -146,29 +157,12 @@ def _table(columns: dict, fmt: str, mapped: bool) -> str:
     n = min(map(len, columns.values()), default=0)
     # a row weighs the most text it can write: 24 bytes is the longest float64 repr
     per_row = len(row(("",) * len(names))) + len(sep) + 24 * len(names)
-    k = min(n, max(1, parallel.worker_count(n, n * per_row)) if mapped else 1)
-    bounds = [(n * i // k, n * (i + 1) // k) for i in range(k)]
-    sizes = [(b - a) * per_row for a, b in bounds]
-    blocks = parallel.ordered_map(block, bounds, sizes) if k > 1 else list(map(block, bounds))
+    run = max(1, parallel.MIN_BYTES_PER_WORKER // per_row)
+    bounds = [(a, min(a + run, n)) for a in range(0, n, run)]
+    blocks = parallel.ordered_map(block, bounds, [(b - a) * per_row for a, b in bounds])
     if fmt == "csv":
         return "\n".join([row(map(_csv_cell, columns)), *blocks]) + "\n"
     return f"[\n  {sep.join(blocks)}\n]\n" if blocks else "[]\n"
-
-
-def table_text(columns: dict, fmt: str) -> str:
-    """Equal-length columns, keyed by name, as text with a final newline: a
-    JSON array of one flat object per row, or a CSV header row and one line
-    per row. A column is a float64 array or a list of cells; no row object
-    is made.
-
-    A table that weighs enough for the size rule of ``parallel.ordered_map``
-    is formatted in one contiguous block of rows per process, this one and
-    forked workers, joined in order: the same text as in one process. Like
-    ``sweep_analyze``, it is then safe only while no other thread runs. A
-    name that is not a str raises TypeError here, before any fork; a cell
-    that is not a JSON or CSV cell raises TypeError, from the first block
-    that holds one."""
-    return _table(columns, fmt, mapped=True)
 
 
 def fit_record(result: NotchFitResult) -> dict:
@@ -242,7 +236,7 @@ def emit_report(report: AnalysisReport, out_dir: str | Path) -> list[Path]:
     texts = {"report.json": to_json(doc) + "\n"}
     for name, columns in _CSV_COLUMNS.items() if entries else ():
         cells = {h: [reduce(getitem, p.split("."), e) for e in entries] for h, p in columns}
-        texts[name] = _table(cells, "csv", mapped=False)  # a row per trace: never worth a fork
+        texts[name] = table_text(cells, "csv")
     for name, text in texts.items():
         (out / name).write_text(text, encoding="utf-8")
     return [out / name for name in texts]

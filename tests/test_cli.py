@@ -910,6 +910,19 @@ def test_photon_n_target_is_the_power_of_n_photons(capsys):
     assert json.loads(out)["n_ph"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_photon_sum_below_1_that_rounds_over_is_no_loss(capsys):
+    # (1 - 1e-17)^2 rounds to 1, so 1 - |S21|^2 - |S11|^2 is a hair below 0
+    # although the float sum |S21|^2 + |S11|^2 is not above 1
+    q = ("--qc", "1e5", "--qi", "1e5", "--freq-hz", "5.95e9", "--pin-dbm", "-100")
+    rc, out, err = run_cli(capsys, "photon", "--ql", "1e-12", *q)
+    assert rc == 0, err
+    record = json.loads(out)
+    assert record["p_loss_w"] == 0.0 and record["n_ph"] == 0.0
+    rc, out, err = run_cli(capsys, "photon", "--ql", "2e5", *q)
+    assert rc == 1 and out == ""
+    assert "|S21|^2 + |S11|^2 = 17.000000 > 1" in err
+
+
 @pytest.mark.parametrize("mode", [("--pin-dbm", "-135"), ("--n-target", "1")])
 def test_photon_att_db_without_pvna_dbm_is_input_error(capsys, mode):
     rc, out, err = run_cli(

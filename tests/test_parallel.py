@@ -52,19 +52,19 @@ def sweep_dir(tmp_path_factory):
 @pytest.fixture
 def pooled(monkeypatch):
     """Every map of two or more items and bytes runs on at least two
-    processes, also on a one-CPU host; returns the process counts used."""
+    processes, also on a one-CPU host; returns (items, processes) per map."""
     monkeypatch.setattr(parallel, "MIN_BYTES_PER_WORKER", 1)
     if len(os.sched_getaffinity(0)) < 2:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    counts = []
+    maps = []
     real = parallel.worker_count
 
     def spy(n_items, work_bytes):
-        counts.append(real(n_items, work_bytes))
-        return counts[-1]
+        maps.append((n_items, real(n_items, work_bytes)))
+        return maps[-1][1]
 
     monkeypatch.setattr(parallel, "worker_count", spy)
-    return counts
+    return maps
 
 
 def sweep(capsys, root, out, inputs=None):
@@ -79,7 +79,10 @@ def test_pool_writes_the_in_process_report(capsys, monkeypatch, tmp_path, sweep_
         m.setattr(parallel, "MIN_BYTES_PER_WORKER", IN_PROCESS)
         assert sweep(capsys, sweep_dir, tmp_path / "serial") == (0, "")
     assert sweep(capsys, sweep_dir, tmp_path / "pool") == (0, "")
-    assert [n >= 2 for n in pooled] == [False, True]  # one map per run
+    # per run, the map of the 10 files, then one per CSV of 8 rows: one block
+    # in process, then a block per row on the pool
+    runs = [(10, False), *[(1, False)] * 4, (10, True), *[(8, True)] * 4]
+    assert [(k, n >= 2) for k, n in pooled] == runs
     names = sorted(p.name for p in (tmp_path / "serial").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
     assert "report.json" in names and len(names) > 1
@@ -102,7 +105,7 @@ def test_worker_warning_reaches_the_caller(capsys, tmp_path, sweep_dir, pooled):
     with pytest.warns(DataQualityWarning, match="not monotone") as record:
         rc, err = sweep(capsys, sweep_dir, tmp_path / "out", inputs)
     assert rc == 0, err
-    assert max(pooled) >= 2
+    assert max(n for _, n in pooled) >= 2
     assert [str(shuffled) in str(w.message) for w in record] == [True]
 
 
@@ -118,7 +121,7 @@ def test_malformed_file_fails_as_in_process(capsys, monkeypatch, tmp_path, sweep
         m.setattr(parallel, "MIN_BYTES_PER_WORKER", IN_PROCESS)
         serial = sweep(capsys, sweep_dir, tmp_path / "o1", [str(bad)])
     pool = sweep(capsys, sweep_dir, tmp_path / "o2", [str(bad)])
-    assert max(pooled) >= 2
+    assert max(n for _, n in pooled) >= 2
     assert serial == pool
     rc, err = pool
     assert rc == 1 and err.startswith("error: ") and sorted(bad.iterdir())[4].name in err
@@ -151,7 +154,10 @@ def test_set_aside_traces_never_reach_the_fit(
     if not on_pool:
         monkeypatch.setattr(parallel, "MIN_BYTES_PER_WORKER", IN_PROCESS)
     assert sweep(capsys, sweep_dir, tmp_path / "out", [str(mixed)]) == (0, "")
-    assert [n >= 2 for n in pooled] == [on_pool]
+    # the map of the 15 files, then one per CSV of the 8 fitted rows: one
+    # block in process, a block per row on the pool
+    tables = [(8 if on_pool else 1, on_pool)] * 4
+    assert [(k, n >= 2) for k, n in pooled] == [(15, on_pool), *tables]
     assert sorted(log.read_text().split()) == [p.name for p in fittable]
     report = json.loads((tmp_path / "out" / "report.json").read_bytes())
     failed = {Path(f["source"]).name for f in report["failures"]}
@@ -199,7 +205,7 @@ def test_interrupt_in_the_callers_share_reaps_every_worker(pooled):
     with pytest.raises(KeyboardInterrupt):
         parallel.ordered_map(fn, range(200), [10**15] * 200)
     assert time.monotonic() - start < 0.5
-    assert max(pooled) >= 2 and os.sched_getaffinity(0) == mask
+    assert max(n for _, n in pooled) >= 2 and os.sched_getaffinity(0) == mask
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -259,7 +265,7 @@ def test_results_warnings_and_first_error_in_item_order(pooled, work_bytes):
         with pytest.raises(ValueError, match="^item 3$"):
             parallel.ordered_map(_square_or_fail, [0, 1, 2, 3, 4, 5], _ascending(work_bytes, 6))
     assert [str(w.message) for w in record] == ["item 0", "item 1", "item 2"]
-    assert [n >= 2 for n in pooled] == [work_bytes > 0] * 2
+    assert [n >= 2 for _, n in pooled] == [work_bytes > 0] * 2
     assert threading.active_count() == threads
     assert parallel.ordered_map(lambda x: -x, [1, 2], [work_bytes] * 2) == [-1, -2]
 
@@ -276,7 +282,7 @@ def test_pool_takes_the_largest_items_first(monkeypatch, pooled):
     # can start only after both have started
     monkeypatch.setattr(parallel, "MIN_BYTES_PER_WORKER", 5)
     starts = parallel.ordered_map(_start_then_sleep, [0.3] * 4, [1, 2, 3, 4])
-    assert pooled == [2]
+    assert pooled == [(4, 2)]
     assert max(starts[2:]) <= min(starts[:2])
 
 
@@ -348,7 +354,7 @@ def test_failed_fork_reaps_the_workers_forked_before(monkeypatch, pooled):
     monkeypatch.setattr(os, "fork", fork)
     with pytest.raises(BlockingIOError):
         parallel.ordered_map(_getpid, range(4), [10**15] * 4)
-    assert pooled == [3] and len(forks) == 2
+    assert pooled == [(4, 3)] and len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -453,5 +459,6 @@ def test_mb_table_on_two_workers_prints_the_in_process_table(
         serial = capsys.readouterr()
     assert cli.main(argv) == 0
     assert capsys.readouterr() == serial
-    assert [n >= 2 for n in pooled] == [False, True, True]  # table_text's, then the map's
+    # one block in process, then a block per row on the pool
+    assert [(k, n >= 2) for k, n in pooled] == [(1, False), (20000, True)]
     assert serial.out.count("\n") == {"json": 20000 * 9 + 2, "csv": 20001}[fmt]

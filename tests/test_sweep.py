@@ -18,6 +18,7 @@ from cpwloss.constants import M3_TO_UM3, angular_frequency
 from cpwloss.errors import FitError, InputError
 from cpwloss.impedance import geometric_inductance, qp_loss_theory
 from cpwloss.lossmodel import nqp_from_loss, q_tls, qi_theory
+from cpwloss.pipeline import parallel
 from cpwloss.pipeline.config import config_from_dict
 from cpwloss.pipeline.forward import (
     calibrate_sweep_config,
@@ -601,10 +602,55 @@ def _forks_for(columns):
     return 1 if min(map(len, columns.values()), default=0) >= 2 else 0
 
 
+def _row_weight(names, fmt):
+    """The text bytes a row of these columns is weighed at: the text it adds
+    to a table when each cell is 24 bytes long, the longest float64 repr."""
+    longest = -2.2250738585072014e-308
+    one, two = (table_text({k: [longest] * n for k in names}, fmt) for n in (1, 2))
+    return len(two) - len(one)
+
+
+def _mixed_columns(n):
+    """``n`` rows of two EDGE_FLOATS columns and a str column."""
+    edges = np.resize(np.array(EDGE_FLOATS), n)
+    return {"edge": edges, "%s \"q\",\n\u00e9": -edges[::-1],
+            "name": [f'r{i},"{i}"\n' for i in range(n)]}
+
+
 class TestTableOnTwoWorkers:
-    """The table properties of TestTableText and TestWriter, with every table
-    of two or more rows cut into two blocks, one for the caller and one for
-    a forked worker, as test_parallel.py's ``pooled`` fixture forces a map."""
+    """The table properties of TestTableText and TestWriter on blocks small
+    enough that the caller and a forked worker format a table: blocks of
+    three rows and a short last one, and blocks of one row each, as
+    test_parallel.py's ``pooled`` fixture forces a map."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+    def test_blocks_of_three_rows_and_a_short_last_one(self, monkeypatch, fmt, n):
+        # the size rule forks from two blocks' weight, that is six rows
+        columns = _mixed_columns(n)
+        want, three_rows = table_text(columns, fmt), 3 * _row_weight(columns, fmt)
+        real, blocks = parallel.ordered_map, []
+
+        def spy(fn, items, sizes):
+            blocks.append(list(items))
+            return real(fn, items, sizes)
+
+        monkeypatch.setattr(parallel, "ordered_map", spy)
+        with two_cpus(min_bytes_per_worker=three_rows) as forks:
+            assert table_text(columns, fmt) == want
+        assert blocks == [[(a, min(a + 3, n)) for a in range(0, n, 3)]]
+        assert len(forks) == (1 if n >= 6 else 0)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bad_cell_in_the_short_last_block_is_a_type_error(self, fmt):
+        columns = _mixed_columns(7)
+        columns["name"][6] = b"x"
+        with two_cpus(min_bytes_per_worker=3 * _row_weight(columns, fmt)) as forks:
+            with pytest.raises(TypeError):
+                table_text(columns, fmt)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):  # the worker reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @given(float_tables())
     @example({"edge": np.array(EDGE_FLOATS), "%s \"q\",\n\u00e9": -np.array(EDGE_FLOATS)})
