@@ -83,10 +83,7 @@ def surface_impedance(sigma, omega_rad: float):
     """
     if np.any(sigma == 0):
         raise ValueError("conductivity is zero; surface impedance undefined")
-    zs = np.sqrt(1j * MU0 * omega_rad / sigma)
-    if np.any(zs.real < 0):
-        raise ValueError("surface impedance left the principal branch (Re < 0)")
-    return zs
+    return np.sqrt(1j * MU0 * omega_rad / sigma)
 
 
 def qp_loss_theory(

@@ -1,10 +1,13 @@
 """Drive-power budget and average intra-resonator photon number.
 
-Magnitude scattering coefficients at resonance follow from the loaded and
-coupling quality factors, the dissipated power from energy conservation
-P_loss = P_in (1 - |S21|^2 - |S11|^2), and the average photon number from
-<n> = Qi * P_loss / (hbar * omega^2). Power is carried in watts internally;
-dBm appears only at the API boundary.
+The on-resonance scattering amplitudes |S21| = 1 - Ql/|Qc| and
+|S11| = Ql/|Qc| follow from the loaded and coupling quality factors, the
+dissipated power from energy conservation P_loss = P_in (1 - |S21|^2 -
+|S11|^2), and the average photon number from <n> = Qi * P_loss /
+(hbar * omega^2). Together they give the hanger relation
+<n> = 2 Ql^2 P_in / (|Qc| hbar omega^2) (Sage et al. 2011, Bruno et al.
+2015). Power is carried in watts internally; dBm appears only at the API
+boundary.
 """
 
 from __future__ import annotations
@@ -42,18 +45,16 @@ def watt_to_dbm(p_w: float) -> float:
 
 
 def scattering_mags(ql: float, qc_mag: float) -> tuple[float, float]:
-    """On-resonance magnitudes (|S21|, |S11|) from Ql and |Qc|.
+    """On-resonance amplitudes (|S21|, |S11|) from Ql and |Qc|.
 
-    |S21| = (|Qc| - Ql)^2 / |Qc|^2 and |S11| = Ql^2 / |Qc|^2, i.e. (1 - x)^2
-    and x^2 with x = Ql/|Qc|: |S21|^2 + |S11|^2 exceeds 1 only for x > 1,
-    that is Qi < 0, which :func:`power_loss` flags downstream.
+    |S21| = |1 - x| and |S11| = x with x = Ql/|Qc|: |S21|^2 + |S11|^2
+    exceeds 1 only for x > 1, that is Qi < 0, which :func:`power_loss`
+    flags downstream.
     """
     if ql <= 0 or qc_mag <= 0:
         raise ValueError("ql and qc_mag must be positive")
-    qc_sq = _square(qc_mag, "qc_mag")
-    s21 = _square(qc_mag - ql, "qc_mag - ql") / qc_sq
-    s11 = _square(ql, "ql") / qc_sq
-    return s21, s11
+    x = ql / qc_mag
+    return abs(1.0 - x), x
 
 
 def power_loss(p_in_w: float, s21_mag: float, s11_mag: float) -> float:
@@ -78,13 +79,17 @@ def power_loss(p_in_w: float, s21_mag: float, s11_mag: float) -> float:
 
 
 def photon_number(qi: float, p_loss_w: float, f_hz: float) -> float:
-    """Average photon number <n> = Qi * P_loss / (hbar * omega^2)."""
+    """Average photon number <n> = Qi * P_loss / (hbar * omega^2); ValueError
+    when <n> overflows, also where hbar * omega^2 underflows to 0."""
     if qi <= 0 or f_hz <= 0:
         raise ValueError("qi and f_hz must be positive")
     if p_loss_w < 0:
         raise ValueError("dissipated power must be >= 0")
-    omega_sq = _square(2.0 * math.pi * f_hz, "omega")
-    return qi * p_loss_w / (HBAR_JS * omega_sq)
+    hbar_omega_sq = HBAR_JS * _square(2.0 * math.pi * f_hz, "omega")
+    n_ph = qi * p_loss_w / hbar_omega_sq if hbar_omega_sq > 0 else math.inf
+    if n_ph == math.inf:
+        raise ValueError(f"<n> = Qi * P_loss / (hbar * omega^2) overflows at f_hz = {f_hz:g}")
+    return n_ph
 
 
 def power_for_photons(

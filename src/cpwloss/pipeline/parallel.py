@@ -3,21 +3,20 @@
 :func:`ordered_map` runs ``fn`` over ``items`` on one process per usable
 CPU, the caller included, as the items and the size rule allow, and returns
 the results in input order. A caller cuts its work into items and weighs
-them; the map alone decides how many processes run. Each process, held on
-its own CPU, runs one of the largest items, the caller the largest, then
-takes its next block, largest first, from one pipe written whole before
-any fork, until it is empty. Each worker, an ``os.fork``, pickles its
-results down its own pipe and leaves through ``os._exit``; no thread is
-started. Even if its share raised, the caller then reads each pipe to its
-end, reaps each worker and takes back its CPU mask; it replays the
-warnings and raises the first exception in item order, as a serial run
-would. A dead worker fails the map with ``ChildProcessError`` (exit 1); a
-crash in the caller's share ends it.
+them; the map alone decides how many processes run, and the kernel where
+they run. Each process runs one of the largest items, the caller the
+largest, then takes its next block, largest first, from one pipe written
+whole before any fork, until it is empty. Each worker, an ``os.fork``,
+pickles its results down its own pipe and leaves through ``os._exit``; no
+thread is started. Even if its share raised, the caller then reads each
+pipe to its end and reaps each worker; it replays the warnings and raises
+the first exception in item order, as a serial run would. A dead worker
+fails the map with ``ChildProcessError`` (exit 1); a crash in the caller's
+share ends it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import pickle
 import warnings
@@ -48,11 +47,8 @@ def _run(fn, item):
     return out, err, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def _share(fn, items, blocks, k, queue, cpus) -> dict:
-    """``_run`` on CPU ``cpus[k]`` alone (a kernel may leave a fork on its parent's
-    CPU) over block ``k``, then each block numbered in ``queue``, to its end."""
-    with contextlib.suppress(OSError):  # a CPU that has left the mask
-        os.sched_setaffinity(0, cpus[k : k + 1])
+def _share(fn, items, blocks, k, queue) -> dict:
+    """``_run`` over block ``k``, then each block numbered in ``queue``, to its end."""
     done, record = {}, k.to_bytes(4, "little")
     while record:
         done.update((i, _run(fn, items[i])) for i in blocks[int.from_bytes(record, "little")])
@@ -78,14 +74,14 @@ def ordered_map(fn, items, sizes: list[int]) -> list:
     queue, w = os.pipe()
     with open(w, "wb") as pipe:
         pipe.write(b"".join(k.to_bytes(4, "little") for k in range(n, len(blocks))))
-    workers, cpus = [], sorted(os.sched_getaffinity(0))
+    workers = []
     try:
         for k in range(1, n):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:  # the worker never returns; a failure leaves its pipe empty
                 try:
-                    data = pickle.dumps(_share(fn, items, blocks, k, queue, cpus))
+                    data = pickle.dumps(_share(fn, items, blocks, k, queue))
                     with open(w, "wb") as pipe:
                         pipe.write(data)
                     os._exit(0)
@@ -93,7 +89,7 @@ def ordered_map(fn, items, sizes: list[int]) -> list:
                     os._exit(1)
             os.close(w)
             workers.append((pid, r))
-        done = _share(fn, items, blocks, 0, queue, cpus)
+        done = _share(fn, items, blocks, 0, queue)
     finally:  # every worker forked is read to the end and reaped, even if a fork fails
         os.read(queue, 4096)  # empty the queue: after a failed share or fork, workers stop soon
         os.close(queue)
@@ -101,7 +97,6 @@ def ordered_map(fn, items, sizes: list[int]) -> list:
         for pid, r in workers:
             with open(r, "rb") as pipe:
                 reads.append((pipe.read(), os.waitpid(pid, 0)[1]))
-        os.sched_setaffinity(0, cpus)
     try:  # a worker that exited non-zero counts as one that sent nothing
         for data, status in reads:
             done.update(pickle.loads(b"" if status else data))

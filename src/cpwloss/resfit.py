@@ -427,12 +427,9 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
     if not (med > 0.0 and mag.max() < 2.0**1000 * med):
         raise FitError("no resonance found (zero baseline or range beyond 2**1000)")
     scale = 2.0 ** round(math.log2(med))
-    z = z / scale
-    trace = S21Trace(f, z)
+    z, mag, med = z / scale, mag / scale, med / scale
 
     # dip-depth precheck against the wing noise floor
-    mag = np.abs(z)
-    med = median(mag)
     k = max(3, n // 10)
     wing_mag = np.concatenate([mag[:k], mag[-k:]])
     noise_rel = float(np.std(np.diff(wing_mag))) / math.sqrt(2.0) / med

@@ -886,14 +886,20 @@ def test_subcommand_takes_the_flags_it_reads(command):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("photon", "--ql", "1e200", "--qc", "1e200", "--qi", "1", "--freq-hz", "1",
+        ("photon", "--ql", "1", "--qc", "1e-300", "--qi", "1", "--freq-hz", "1e9",
          "--pin-dbm", "0"),
         ("photon", *PHOTON_Q, "--freq-hz", "1e200", "--pin-dbm", "-100"),
         ("photon", *PHOTON_Q, "--freq-hz", "1e200", "--n-target", "1"),
+        ("photon", "--ql", "1", "--qc", "1e-300", "--qi", "1", "--freq-hz", "1e9",
+         "--n-target", "1"),
+        *[("photon", "--ql", "1", "--qc", "2", "--qi", "2", "--freq-hz", f, *mode)
+          for f in ("1e-200", "1e-140") for mode in (("--pin-dbm", "0"), ("--n-target", "1"))],
     ],
 )
 def test_photon_overflow_is_input_error(capsys, argv):
-    # finite inputs whose squares are past the float range
+    # finite inputs whose squares or photon number are past the float range:
+    # the amplitude Ql/|Qc| = 1e300, where |Qc|^2 would be 0, and <n> at a
+    # frequency where hbar*omega^2 is 0 (1e-200 Hz) or subnormal (1e-140 Hz)
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1
     assert out == "" and len(err.splitlines()) == 1
@@ -904,14 +910,14 @@ def test_photon_n_target_is_the_power_of_n_photons(capsys):
     q = ("--ql", "5e4", "--qc", "1e5", "--qi", "2.5e5", "--freq-hz", "5.95e9")
     rc, out, _ = run_cli(capsys, "photon", *q, "--n-target", "1")
     assert rc == 0
-    assert json.loads(out) == {"n_target": 1.0, "p_in_dbm": -151.71478232712695}
-    rc, out, _ = run_cli(capsys, "photon", *q, "--pin-dbm", "-151.71478232712695")
+    assert json.loads(out) == {"n_target": 1.0, "p_in_dbm": -149.284401840264}
+    rc, out, _ = run_cli(capsys, "photon", *q, "--pin-dbm", "-149.284401840264")
     assert rc == 0
     assert json.loads(out)["n_ph"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_photon_sum_below_1_that_rounds_over_is_no_loss(capsys):
-    # (1 - 1e-17)^2 rounds to 1, so 1 - |S21|^2 - |S11|^2 is a hair below 0
+    # 1 - 1e-17 rounds to 1, so 1 - |S21|^2 - |S11|^2 is a hair below 0
     # although the float sum |S21|^2 + |S11|^2 is not above 1
     q = ("--qc", "1e5", "--qi", "1e5", "--freq-hz", "5.95e9", "--pin-dbm", "-100")
     rc, out, err = run_cli(capsys, "photon", "--ql", "1e-12", *q)
@@ -920,7 +926,7 @@ def test_photon_sum_below_1_that_rounds_over_is_no_loss(capsys):
     assert record["p_loss_w"] == 0.0 and record["n_ph"] == 0.0
     rc, out, err = run_cli(capsys, "photon", "--ql", "2e5", *q)
     assert rc == 1 and out == ""
-    assert "|S21|^2 + |S11|^2 = 17.000000 > 1" in err
+    assert "|S21|^2 + |S11|^2 = 5.000000 > 1" in err
 
 
 @pytest.mark.parametrize("mode", [("--pin-dbm", "-135"), ("--n-target", "1")])

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpwloss import photon
+from cpwloss.constants import HBAR_JS
 
 
 class TestConversions:
@@ -35,12 +38,12 @@ class TestScattering:
     def test_decoupled_limit(self):
         s21, s11 = photon.scattering_mags(1.0, 1e8)
         assert s21 == pytest.approx(1.0, rel=1e-6)
-        assert s11 == pytest.approx(0.0, abs=1e-12)
+        assert s11 == pytest.approx(1e-8, rel=1e-12)
 
     def test_half_coupled(self):
         s21, s11 = photon.scattering_mags(5e4, 1e5)
-        assert s21 == pytest.approx(0.25, rel=1e-12)
-        assert s11 == pytest.approx(0.25, rel=1e-12)
+        assert s21 == pytest.approx(0.5, rel=1e-12)
+        assert s11 == pytest.approx(0.5, rel=1e-12)
 
     @given(
         st.floats(min_value=1e3, max_value=1e6),
@@ -90,6 +93,27 @@ class TestPhotonNumber:
         )
         assert photon.photon_number(qi, 3 * p_loss, 5.95e9) == pytest.approx(
             3 * base, rel=1e-12
+        )
+
+
+class TestHangerRelation:
+    @given(
+        st.floats(min_value=1e3, max_value=1e9),
+        st.floats(min_value=1e-3, max_value=0.999),
+        st.floats(min_value=-160.0, max_value=-60.0),
+        st.floats(min_value=1e8, max_value=1e11),
+    )
+    @settings(max_examples=200)
+    def test_photon_number_is_2_ql_sq_p_over_qc_hbar_omega_sq(self, qc, x, p_dbm, f_hz):
+        # Sage et al. 2011, Bruno et al. 2015, for Ql <= |Qc| (phi = 0); below
+        # x = Ql/|Qc| = 1e-3 the loss fraction 1 - |S21|^2 - |S11|^2, a
+        # difference of numbers near 1, has a relative error of about 1e-16/x
+        ql = x * qc
+        qi = ql * qc / (qc - ql)
+        n = photon.build_power_budget(p_dbm, 0.0, ql, qc, qi, f_hz).n_ph
+        p_w = photon.dbm_to_watt(p_dbm)
+        assert n == pytest.approx(
+            2 * ql**2 * p_w / (qc * HBAR_JS * (2 * math.pi * f_hz) ** 2), rel=1e-12
         )
 
 
