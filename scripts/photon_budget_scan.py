@@ -2,7 +2,8 @@
 """Scan drive power against average intra-resonator photon number.
 
 Prints the photon number over a feedline power range and the power needed
-to reach the single-photon point, for a given (Qi, |Qc|) pair.
+to reach the single-photon point, for a given (Qi, |Qc|) pair. The budget
+reads Ql = 1/(1/Qi + 1/|Qc|) and |Qc|, the two Q's of the phi = 0 hanger.
 
 Usage:
     python scripts/photon_budget_scan.py [--qi QI] [--qc QC] [--freq-hz F]
@@ -29,10 +30,10 @@ def main() -> int:
     print(f"Qi = {args.qi:.4g}, |Qc| = {args.qc:.4g}, Ql = {ql:.4g}")
     print(f"{'P_in (dBm)':>12} {'P_loss (W)':>12} {'<n_ph>':>12}")
     for p_in in np.linspace(args.pmin, args.pmax, args.steps):
-        budget = build_power_budget(float(p_in), 0.0, ql, args.qc, args.qi, args.freq_hz)
+        budget = build_power_budget(float(p_in), 0.0, ql, args.qc, args.freq_hz)
         print(f"{p_in:12.1f} {budget.p_loss_w:12.4e} {budget.n_ph:12.4g}")
 
-    p_one = power_for_photons(1.0, args.qi, ql, args.qc, args.freq_hz)
+    p_one = power_for_photons(1.0, ql, args.qc, args.freq_hz)
     print(f"\nsingle-photon drive power: {p_one:.2f} dBm")
     return 0
 

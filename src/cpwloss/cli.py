@@ -108,16 +108,14 @@ def cmd_photon(args) -> int:
     if args.att_db is not None and args.pvna_dbm is None:
         raise InputError("--att-db is read only with --pvna-dbm")
     if args.n_target is not None:
-        p_in = power_for_photons(
-            args.n_target, args.qi, args.ql, args.qc, args.freq_hz
-        )
+        p_in = power_for_photons(args.n_target, args.ql, args.qc, args.freq_hz)
         _emit({"n_target": args.n_target, "p_in_dbm": p_in}, args)
         return 0
     if args.pin_dbm is not None:
         p_vna, p_att = args.pin_dbm, 0.0
     else:
         p_vna, p_att = args.pvna_dbm, 0.0 if args.att_db is None else args.att_db
-    budget = build_power_budget(p_vna, p_att, args.ql, args.qc, args.qi, args.freq_hz)
+    budget = build_power_budget(p_vna, p_att, args.ql, args.qc, args.freq_hz)
     _emit(asdict(budget), args)
     return 0
 
@@ -231,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ph = sub.add_parser("photon", parents=[fmt], help="drive-power budget")
     p_ph.add_argument("--ql", type=float, required=True)
     p_ph.add_argument("--qc", type=float, required=True)
-    p_ph.add_argument("--qi", type=float, required=True)
     p_ph.add_argument("--freq-hz", type=float, required=True, dest="freq_hz")
     mode = p_ph.add_mutually_exclusive_group(required=True)
     mode.add_argument("--pin-dbm", type=float, default=None, dest="pin_dbm")

@@ -22,6 +22,7 @@ from ..errors import ConfigError
 from ..impedance import CpwGeometry
 from ..lossmodel import TlsParams
 from ..mbcore import GAP_MODELS, SIGMA2_PREFACTORS, MaterialParams
+from ..resfit import MIN_POINTS
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ class RunSettings:
             raise ConfigError("run.temperatures must be non-empty and positive")
         if self.noise_sigma < 0:
             raise ConfigError("run.noise_sigma must be >= 0")
-        if self.npoints < 16:
-            raise ConfigError("run.npoints must be >= 16")
+        if self.npoints < MIN_POINTS:
+            raise ConfigError(f"run.npoints must be >= {MIN_POINTS}")
         if self.span_linewidths <= 0:
             raise ConfigError("run.span_linewidths must be positive")
         if self.excess_loss < 0:

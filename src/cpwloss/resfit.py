@@ -30,6 +30,9 @@ from .errors import FitError
 
 PARAM_NAMES = ("fr_hz", "ql", "qc_mag", "phi_rad", "amp", "phase0_rad", "tau_s")
 
+# fewest points a trace may have to be fitted, and so to be synthesized
+MIN_POINTS = 16
+
 # LM iteration budget: MAX_ITER * (n_params + 1) residual evaluations
 MAX_ITER = 200
 _TOL = 1e-12  # LM stops at this relative step size, or cost reduction made or predicted
@@ -195,8 +198,8 @@ def estimate_delay(trace: S21Trace) -> DelayEstimate:
     information".
     """
     n = len(trace)
-    if n < 16:
-        raise FitError("delay estimation needs at least 16 points")
+    if n < MIN_POINTS:
+        raise FitError(f"delay estimation needs at least {MIN_POINTS} points")
     k = max(3, int(round(0.1 * n)))
     f, z = trace.freq_hz, trace.s21
     slopes, variances = [], []
@@ -415,8 +418,8 @@ def fit_notch(trace: S21Trace) -> NotchFitResult:
     """
     f, z = trace.freq_hz, trace.s21
     n = len(trace)
-    if n < 16:
-        raise FitError("notch fit needs at least 16 points")
+    if n < MIN_POINTS:
+        raise FitError(f"notch fit needs at least {MIN_POINTS} points")
 
     # the fit runs on the trace divided by the power of two nearest its
     # median magnitude: the division is exact, so the result does not depend

@@ -195,9 +195,9 @@ def test_criterion_07_photon_budget():
         assert -25.0 + -110.0 == -135.0
         qi, qc = 2.571e5, 5e7  # coupling consistent with a one-photon drive
         ql = 1.0 / (1.0 / qi + 1.0 / qc)
-        budget = photon.build_power_budget(-25.0, -110.0, ql, qc, qi, F0)
+        budget = photon.build_power_budget(-25.0, -110.0, ql, qc, F0)
         assert budget.p_in_dbm == -135.0
-        p_one = photon.power_for_photons(1.0, qi, ql, qc, F0)
+        p_one = photon.power_for_photons(1.0, ql, qc, F0)
         assert -138.0 <= p_one <= -132.0
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cpwloss import cli
-from cpwloss.constants import angular_frequency
+from cpwloss.constants import HBAR_JS, angular_frequency
 from cpwloss.pipeline.config import config_from_dict, load_config
 from cpwloss.pipeline.forward import (
     calibrate_sweep_config, film_response, synth_sweep, theory_chain,
@@ -337,8 +337,8 @@ class TestFitAndSynth:
 
     def test_csv_output_format(self, capsys):
         rc, out, _ = run_cli(
-            capsys, "photon", "--ql", "5e4", "--qc", "1e5", "--qi", "2.5e5",
-            "--freq-hz", "5.95e9", "--pin-dbm", "-135", "--format", "csv",
+            capsys, "photon", "--ql", "5e4", "--qc", "1e5", "--freq-hz", "5.95e9",
+            "--pin-dbm", "-135", "--format", "csv",
         )
         assert rc == 0
         lines = out.strip().splitlines()
@@ -808,7 +808,7 @@ def test_fit_output_does_not_depend_on_blas_threads(tmp_path):
         assert outs[0] == outs[1] == outs[2]
 
 
-PHOTON_Q = ("--ql", "7e4", "--qc", "1e5", "--qi", "2.5e5")
+PHOTON_Q = ("--ql", "7e4", "--qc", "1e5")
 
 
 @pytest.mark.parametrize(
@@ -886,20 +886,20 @@ def test_subcommand_takes_the_flags_it_reads(command):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("photon", "--ql", "1", "--qc", "1e-300", "--qi", "1", "--freq-hz", "1e9",
-         "--pin-dbm", "0"),
+        ("photon", "--ql", "1e300", "--qc", "1e301", "--freq-hz", "1e9", "--pin-dbm", "0"),
         ("photon", *PHOTON_Q, "--freq-hz", "1e200", "--pin-dbm", "-100"),
         ("photon", *PHOTON_Q, "--freq-hz", "1e200", "--n-target", "1"),
-        ("photon", "--ql", "1", "--qc", "1e-300", "--qi", "1", "--freq-hz", "1e9",
-         "--n-target", "1"),
-        *[("photon", "--ql", "1", "--qc", "2", "--qi", "2", "--freq-hz", f, *mode)
+        ("photon", "--ql", "1e300", "--qc", "1e301", "--freq-hz", "1e9", "--n-target", "1"),
+        *[("photon", "--ql", "1", "--qc", "2", "--freq-hz", f, *mode)
           for f in ("1e-200", "1e-140") for mode in (("--pin-dbm", "0"), ("--n-target", "1"))],
+        ("photon", *PHOTON_Q, "--freq-hz", "1e308", "--pin-dbm", "-100"),
     ],
 )
 def test_photon_overflow_is_input_error(capsys, argv):
     # finite inputs whose squares or photon number are past the float range:
-    # the amplitude Ql/|Qc| = 1e300, where |Qc|^2 would be 0, and <n> at a
-    # frequency where hbar*omega^2 is 0 (1e-200 Hz) or subnormal (1e-140 Hz)
+    # <n> of Ql = 1e300, omega^2 at 1e200 Hz and omega itself at 1e308 Hz,
+    # and <n> at a frequency where hbar*omega^2 is 0 (1e-200 Hz) or subnormal
+    # (1e-140 Hz)
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1
     assert out == "" and len(err.splitlines()) == 1
@@ -907,26 +907,43 @@ def test_photon_overflow_is_input_error(capsys, argv):
 
 
 def test_photon_n_target_is_the_power_of_n_photons(capsys):
-    q = ("--ql", "5e4", "--qc", "1e5", "--qi", "2.5e5", "--freq-hz", "5.95e9")
+    # Ql = 5e4 and |Qc| = 1e5 give Qi = 1e5 and <n> = 2 Ql^2 P / (|Qc| hbar omega^2)
+    q = ("--ql", "5e4", "--qc", "1e5", "--freq-hz", "5.95e9")
     rc, out, _ = run_cli(capsys, "photon", *q, "--n-target", "1")
     assert rc == 0
-    assert json.loads(out) == {"n_target": 1.0, "p_in_dbm": -149.284401840264}
-    rc, out, _ = run_cli(capsys, "photon", *q, "--pin-dbm", "-149.284401840264")
+    record = json.loads(out)
+    assert record.keys() == {"n_target", "p_in_dbm"} and record["n_target"] == 1.0
+    assert record["p_in_dbm"] == pytest.approx(-145.30500175354362, rel=1e-12)
+    rc, out, _ = run_cli(capsys, "photon", *q, "--pin-dbm", "-145.30500175354362")
     assert rc == 0
     assert json.loads(out)["n_ph"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_photon_sum_below_1_that_rounds_over_is_no_loss(capsys):
-    # 1 - 1e-17 rounds to 1, so 1 - |S21|^2 - |S11|^2 is a hair below 0
-    # although the float sum |S21|^2 + |S11|^2 is not above 1
-    q = ("--qc", "1e5", "--qi", "1e5", "--freq-hz", "5.95e9", "--pin-dbm", "-100")
-    rc, out, err = run_cli(capsys, "photon", "--ql", "1e-12", *q)
+def test_photon_tiny_coupling_keeps_its_loss(capsys):
+    # x = Ql/|Qc| = 1e-17: 1 - |S21|^2 - |S11|^2 would round to 0, while
+    # 2x(1 - x) keeps the loss and the hanger relation
+    q = ("--qc", "1e5", "--freq-hz", "5.95e9")
+    rc, out, err = run_cli(capsys, "photon", "--ql", "1e-12", *q, "--pin-dbm", "-100")
     assert rc == 0, err
     record = json.loads(out)
-    assert record["p_loss_w"] == 0.0 and record["n_ph"] == 0.0
-    rc, out, err = run_cli(capsys, "photon", "--ql", "2e5", *q)
-    assert rc == 1 and out == ""
-    assert "|S21|^2 + |S11|^2 = 5.000000 > 1" in err
+    assert record["p_loss_w"] == pytest.approx(2e-17 * 1e-13, rel=1e-12)
+    hbar_omega_sq = HBAR_JS * angular_frequency(5.95e9) ** 2
+    assert record["n_ph"] == pytest.approx(
+        2 * 1e-24 * 1e-13 / (1e5 * hbar_omega_sq), rel=1e-12
+    )
+    rc, out, err = run_cli(capsys, "photon", "--ql", "1e-12", *q, "--n-target", "1")
+    assert rc == 0, err
+    assert math.isfinite(json.loads(out)["p_in_dbm"])
+    # Ql > |Qc| is Qi < 0, and Ql = |Qc| is Qi = inf
+    for ql, qc, mode in [
+        ("2e5", "1e5", "--pin-dbm"), ("1", "1e-300", "--pin-dbm"),
+        ("1e5", "1e5", "--pin-dbm"), ("1e5", "1e5", "--n-target"),
+    ]:
+        rc, out, err = run_cli(
+            capsys, "photon", "--ql", ql, "--qc", qc, "--freq-hz", "5.95e9", mode, "1"
+        )
+        assert rc == 1 and out == "" and len(err.splitlines()) == 1
+        assert "Qi is infinite or negative" in err
 
 
 @pytest.mark.parametrize("mode", [("--pin-dbm", "-135"), ("--n-target", "1")])
@@ -960,6 +977,8 @@ def test_photon_pvna_dbm_takes_att_db(capsys, att, p_in):
         (("photon", *PHOTON_Q, "--freq-hz", "5.95e9"),
          "one of the arguments --pin-dbm --pvna-dbm --n-target is required"),
         (("fit", "--trace-format", "csv", "t.csv"), "unrecognized arguments: --trace-format"),
+        (("photon", *PHOTON_Q, "--qi", "1e5", "--freq-hz", "5.95e9", "--n-target", "1"),
+         "unrecognized arguments: --qi"),
     ],
 )
 def test_usage_error_is_input_error(capsys, argv, message):

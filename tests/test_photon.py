@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpwloss import photon
@@ -61,20 +61,22 @@ class TestScattering:
         # power_loss must refuse it
         s21, s11 = photon.scattering_mags(1.2e5, 1e5)
         assert s21**2 + s11**2 > 1.0
-        with pytest.raises(ValueError):
-            photon.power_loss(1e-15, s21, s11)
+        with pytest.raises(ValueError, match="Qi is infinite or negative"):
+            photon.power_loss(1e-15, s11)
 
 
 class TestPowerLoss:
     def test_all_transmitted(self):
-        assert photon.power_loss(1e-15, 1.0, 0.0) == 0.0
+        assert photon.power_loss(1e-15, 0.0) == 0.0
 
     def test_quarter_quarter(self):
-        assert photon.power_loss(1.0, 0.25, 0.25) == pytest.approx(0.875, rel=1e-12)
+        # x = |S11| = 0.25, |S21| = 0.75: 1 - 0.5625 - 0.0625 = 2x(1 - x)
+        assert photon.power_loss(1.0, 0.25) == pytest.approx(0.375, rel=1e-12)
 
     def test_unphysical_rejected(self):
-        with pytest.raises(ValueError):
-            photon.power_loss(1.0, 1.0, 0.45)  # 1 + 0.2 > 1
+        for x in (1.0, 1.45):  # Qi infinite, Qi < 0
+            with pytest.raises(ValueError):
+                photon.power_loss(1.0, x)
 
 
 class TestPhotonNumber:
@@ -99,18 +101,17 @@ class TestPhotonNumber:
 class TestHangerRelation:
     @given(
         st.floats(min_value=1e3, max_value=1e9),
-        st.floats(min_value=1e-3, max_value=0.999),
+        st.floats(min_value=1e-15, max_value=0.999),
         st.floats(min_value=-160.0, max_value=-60.0),
         st.floats(min_value=1e8, max_value=1e11),
     )
+    @example(qc=1e9, x=1e-15, p_dbm=-100.0, f_hz=5.95e9)
     @settings(max_examples=200)
     def test_photon_number_is_2_ql_sq_p_over_qc_hbar_omega_sq(self, qc, x, p_dbm, f_hz):
-        # Sage et al. 2011, Bruno et al. 2015, for Ql <= |Qc| (phi = 0); below
-        # x = Ql/|Qc| = 1e-3 the loss fraction 1 - |S21|^2 - |S11|^2, a
-        # difference of numbers near 1, has a relative error of about 1e-16/x
+        # Sage et al. 2011, Bruno et al. 2015, for Ql < |Qc| (phi = 0): the
+        # loss fraction 2x(1 - x) keeps full precision down to x = Ql/|Qc| = 1e-15
         ql = x * qc
-        qi = ql * qc / (qc - ql)
-        n = photon.build_power_budget(p_dbm, 0.0, ql, qc, qi, f_hz).n_ph
+        n = photon.build_power_budget(p_dbm, 0.0, ql, qc, f_hz).n_ph
         p_w = photon.dbm_to_watt(p_dbm)
         assert n == pytest.approx(
             2 * ql**2 * p_w / (qc * HBAR_JS * (2 * math.pi * f_hz) ** 2), rel=1e-12
@@ -124,37 +125,37 @@ class TestBudgetAndInversion:
         return 1.0 / (1.0 / self.QI + 1.0 / self.QC)
 
     def test_input_power_sum(self):
-        b = photon.build_power_budget(-25.0, -110.0, self.ql(), self.QC, self.QI, self.F)
+        b = photon.build_power_budget(-25.0, -110.0, self.ql(), self.QC, self.F)
         assert b.p_in_dbm == -135.0
 
     def test_single_photon_power_near_minus_135(self):
-        p = photon.power_for_photons(1.0, self.QI, self.ql(), self.QC, self.F)
+        p = photon.power_for_photons(1.0, self.ql(), self.QC, self.F)
         assert -138.0 <= p <= -132.0
 
     def test_photon_number_order_unity_at_minus_135(self):
-        b = photon.build_power_budget(-25.0, -110.0, self.ql(), self.QC, self.QI, self.F)
+        b = photon.build_power_budget(-25.0, -110.0, self.ql(), self.QC, self.F)
         assert 0.1 <= b.n_ph <= 10.0
 
     @given(st.floats(min_value=1e-3, max_value=1e4))
     @settings(max_examples=40)
     def test_inverse_identity(self, n_target):
         ql = self.ql()
-        p_dbm = photon.power_for_photons(n_target, self.QI, ql, self.QC, self.F)
-        s21, s11 = photon.scattering_mags(ql, self.QC)
-        p_loss = photon.power_loss(photon.dbm_to_watt(p_dbm), s21, s11)
+        p_dbm = photon.power_for_photons(n_target, ql, self.QC, self.F)
+        _, s11 = photon.scattering_mags(ql, self.QC)
+        p_loss = photon.power_loss(photon.dbm_to_watt(p_dbm), s11)
         n = photon.photon_number(self.QI, p_loss, self.F)
         assert n == pytest.approx(n_target, rel=1e-12)
 
     def test_ten_db_is_factor_ten(self):
         ql = self.ql()
-        p1 = photon.power_for_photons(1.0, self.QI, ql, self.QC, self.F)
-        p10 = photon.power_for_photons(10.0, self.QI, ql, self.QC, self.F)
+        p1 = photon.power_for_photons(1.0, ql, self.QC, self.F)
+        p10 = photon.power_for_photons(10.0, ql, self.QC, self.F)
         assert p10 - p1 == pytest.approx(10.0, abs=1e-9)
 
     def test_degenerate_inversion_rejected(self):
-        # Ql so small that |S21| rounds to exactly 1: zero loss fraction
-        with pytest.raises(ValueError):
-            photon.power_for_photons(1.0, 1e5, 1e-12, 1e5, self.F)
-        # Ql = |Qc|, where |S11| = 1: zero photons per watt, not a ZeroDivisionError
-        with pytest.raises(ValueError, match="zero or negative loss fraction"):
-            photon.power_for_photons(1.0, 1e5, 1e5, 1e5, self.F)
+        # x = Ql/|Qc| = 1e-320, so Qi * P_loss = 1e-300 * 2e-320 underflows to 0
+        with pytest.raises(ValueError, match="underflows to 0"):
+            photon.power_for_photons(1.0, 1e-300, 1e20, self.F)
+        # Ql = |Qc|, where Qi is infinite: not a ZeroDivisionError
+        with pytest.raises(ValueError, match="Qi is infinite or negative"):
+            photon.power_for_photons(1.0, 1e5, 1e5, self.F)
